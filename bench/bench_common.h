@@ -57,11 +57,10 @@ inline int SuiteThreadsFromEnv() {
   return static_cast<int>(SizeFromEnv("FAIRRANK_SUITE_THREADS", 1));
 }
 
-/// Prints the suite-level rollup: exact aggregate cache counters (never
-/// double-counted under column-shared caches), total search work, and the
+/// Prints the suite-level rollup: total search work and the
 /// wall-vs-serial-equivalent speedup of the parallel scheduler — the
 /// observability lines EXPERIMENTS.md quotes.
-inline void PrintCacheSummary(const SuiteResult& result) {
+inline void PrintSuiteSummary(const SuiteResult& result) {
   std::printf("%s\n", FormatSuiteSummary(result).c_str());
 }
 
@@ -93,7 +92,7 @@ inline SuiteResult RunAndPrintGrid(
   if (print_times) {
     std::printf("time (in secs)\n%s\n", FormatSuiteRuntime(*result).c_str());
   }
-  PrintCacheSummary(*result);
+  PrintSuiteSummary(*result);
   return std::move(result).value();
 }
 

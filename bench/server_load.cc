@@ -292,10 +292,10 @@ int Main(int argc, char** argv) {
   StatusOr<int64_t> workers = flags->GetInt("workers", 150);
   StatusOr<int64_t> port_flag = flags->GetInt("port", 0);
   StatusOr<int64_t> timeout_ms = flags->GetInt("timeout-ms", 10000);
-  StatusOr<int64_t> cache_mb = flags->GetInt("response-cache-mb", 8);
+  StatusOr<int64_t> response_cache_mb = flags->GetInt("response-cache-mb", 8);
   for (const auto* value :
        {&clients, &duration_ms, &workers, &port_flag, &timeout_ms,
-        &cache_mb}) {
+        &response_cache_mb}) {
     if (!value->ok()) return Fail(value->status());
   }
   if (*clients < 1 || *duration_ms < 1) {
@@ -321,7 +321,7 @@ int Main(int argc, char** argv) {
     options.port = 0;
     options.num_workers = static_cast<int>(*clients) + 2;
     options.queue_capacity = static_cast<size_t>(*clients) * 4;
-    options.response_cache_mb = static_cast<uint64_t>(*cache_mb);
+    options.response_cache_mb = static_cast<uint64_t>(*response_cache_mb);
     server = std::make_unique<FairAuditServer>(std::move(tables), "synthetic",
                                                std::move(options));
     Status started = server->Start();

@@ -46,8 +46,6 @@ bool SameOptions(const AuditOptions& a, const AuditOptions& b) {
          a.evaluator.score_hi == b.evaluator.score_hi &&
          a.evaluator.divergence == b.evaluator.divergence &&
          a.evaluator.num_threads == b.evaluator.num_threads &&
-         a.evaluator.enable_cache == b.evaluator.enable_cache &&
-         a.evaluator.cache_max_bytes == b.evaluator.cache_max_bytes &&
          SameLimits(a.limits, b.limits);
 }
 

@@ -55,9 +55,9 @@ bool armed();
 /// Total allocation checkpoints hit since the last Arm().
 uint64_t alloc_checkpoints_hit();
 
-/// Total divergence evaluations (actual computations, not cache hits) hit
-/// since the last Arm(). Counted while armed, even when no divergence fault
-/// is configured — tests use it to measure evaluator work.
+/// Total divergence evaluations hit since the last Arm(). Counted while
+/// armed, even when no divergence fault is configured — tests use it to
+/// measure evaluator work.
 uint64_t divergence_evals_hit();
 
 /// Hook: called by ExecutionContext::CheckMemory at every allocation

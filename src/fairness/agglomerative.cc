@@ -156,7 +156,6 @@ class AgglomerativeAlgorithm : public PartitioningAlgorithm {
       }
       a.path.clear();
       a.rows = std::move(rows);
-      a.fingerprint = RowSetFingerprint(a.rows);
       hists[best_i] = std::move(combined);
       alive[best_j] = false;
       sum = new_sum;
@@ -173,9 +172,9 @@ class AgglomerativeAlgorithm : public PartitioningAlgorithm {
   }
 
  private:
-  /// The merge loops call the divergence directly (their histograms are
-  /// synthetic merged cells, never cacheable by row-set fingerprint), so
-  /// "emd" events are recorded here instead of in the evaluator cache path.
+  /// The merge loops call the divergence directly on their merged-cell
+  /// histograms, so "emd" events are recorded here instead of in the
+  /// evaluator.
   static StatusOr<double> TracedDistance(const UnfairnessEvaluator& eval,
                                          const ExecutionContext& context,
                                          const Histogram& a,

@@ -61,11 +61,6 @@ struct SearchResult {
   /// Split / candidate-evaluation checkpoints passed — the work actually
   /// done, comparable across algorithms and against --max-nodes.
   uint64_t nodes_visited = 0;
-  /// Evaluator-cache counters over the search (hits, misses = actual
-  /// histogram builds / divergence computations, evictions). Filled by
-  /// FairnessAuditor and bench harnesses from the search evaluator after
-  /// the algorithm returns; algorithms themselves leave it zeroed.
-  EvalCacheStats cache;
 };
 
 /// A partition-search algorithm. Implementations must return a valid full

@@ -9,20 +9,18 @@
 #include "common/fault_injection.h"
 #include "common/parallel.h"
 #include "common/telemetry.h"
+#include "stats/emd.h"
 
 namespace fairrank {
 
 namespace {
 
-/// Always-on pipeline counters (one relaxed atomic add per operation —
-/// cheap next to the histogram/EMD work itself, and exact regardless of
-/// cache sharing because they count at the source). `/metrics` serves them
-/// as the per-phase pipeline families.
+/// Always-on pipeline counters of real work, bumped once per call (one
+/// relaxed atomic add each). `/metrics` serves them as the per-phase
+/// pipeline families.
 struct PipelineMetrics {
   MetricCounter* histogram_builds;
-  MetricCounter* histogram_cache_hits;
   MetricCounter* emd_computations;
-  MetricCounter* emd_cache_hits;
 
   static const PipelineMetrics& Get() {
     static const PipelineMetrics* metrics = [] {
@@ -30,21 +28,52 @@ struct PipelineMetrics {
       auto* m = new PipelineMetrics();
       m->histogram_builds = registry.GetCounter(
           "fairrank_pipeline_histogram_builds_total",
-          "Per-partition score histograms actually built (cache misses)");
-      m->histogram_cache_hits = registry.GetCounter(
-          "fairrank_pipeline_histogram_cache_hits_total",
-          "Histogram requests served from the evaluator cache");
+          "Per-partition score histograms built");
       m->emd_computations = registry.GetCounter(
           "fairrank_pipeline_emd_computations_total",
-          "Pairwise divergences actually computed (cache misses)");
-      m->emd_cache_hits = registry.GetCounter(
-          "fairrank_pipeline_emd_cache_hits_total",
-          "Pairwise divergences served from the evaluator cache");
+          "Pairwise divergences computed");
       return m;
     }();
     return *metrics;
   }
 };
+
+/// Records one trace event named `name` covering its own lifetime; inert
+/// when the options carry no trace.
+class TraceEvent {
+ public:
+  TraceEvent(const EvaluatorOptions& options, const char* name)
+      : options_(options),
+        name_(name),
+        start_ns_(options.trace != nullptr ? TraceNowNanos() : 0) {}
+  ~TraceEvent() {
+    if (options_.trace != nullptr) {
+      options_.trace->AddEvent(name_, options_.trace_parent,
+                               TraceNowNanos() - start_ns_);
+    }
+  }
+  TraceEvent(const TraceEvent&) = delete;
+  TraceEvent& operator=(const TraceEvent&) = delete;
+
+ private:
+  const EvaluatorOptions& options_;
+  const char* name_;
+  uint64_t start_ns_;
+};
+
+/// One call's divergence loop: an "emd" trace event, and `pairs` added to
+/// the computation counter when the loop ends, early returns included.
+struct PairLoop {
+  explicit PairLoop(const EvaluatorOptions& options) : event(options, "emd") {}
+  ~PairLoop() { PipelineMetrics::Get().emd_computations->Increment(pairs); }
+
+  TraceEvent event;
+  uint64_t pairs = 0;
+};
+
+Status DivergenceFault() {
+  return Status::Internal("fault injection: divergence evaluation failed");
+}
 
 }  // namespace
 
@@ -59,8 +88,9 @@ StatusOr<UnfairnessEvaluator> UnfairnessEvaluator::Make(
         "got " + std::to_string(scores.size()) + " scores for " +
         std::to_string(table->num_rows()) + " rows");
   }
-  if (options.num_bins < 1) {
-    return Status::InvalidArgument("num_bins must be >= 1");
+  if (options.num_bins < 1 || options.num_bins > kMaxBins) {
+    return Status::InvalidArgument("num_bins must be in [1, " +
+                                   std::to_string(kMaxBins) + "]");
   }
   if (!(options.score_lo < options.score_hi)) {
     return Status::InvalidArgument("empty score range");
@@ -84,74 +114,88 @@ StatusOr<UnfairnessEvaluator> UnfairnessEvaluator::Make(
   }
   FAIRRANK_ASSIGN_OR_RETURN(std::unique_ptr<Divergence> divergence,
                             MakeDivergenceByName(options.divergence));
-  return UnfairnessEvaluator(table, std::move(scores), options,
-                             std::move(divergence), num_out_of_range);
+  const Histogram shape(options.num_bins, options.score_lo, options.score_hi);
+  std::vector<uint16_t> bins;
+  bins.reserve(scores.size());
+  for (double score : scores) {
+    bins.push_back(static_cast<uint16_t>(shape.BinOf(score)));
+  }
+  return UnfairnessEvaluator(table, std::move(scores), std::move(bins),
+                             options, std::move(divergence),
+                             num_out_of_range);
 }
 
-std::shared_ptr<const Histogram> UnfairnessEvaluator::CachedHistogram(
-    const Partition& partition) const {
-  const uint64_t fp = PartitionFingerprint(partition);
-  if (std::shared_ptr<const Histogram> hit = cache_->FindHistogram(fp)) {
-    PipelineMetrics::Get().histogram_cache_hits->Increment();
-    if (options_.trace != nullptr) {
-      options_.trace->Event("cache-hit", options_.trace_parent);
+Histogram UnfairnessEvaluator::Build(const Partition& part) const {
+  // Whole-number counts, so the same counts, total and clamped mass as
+  // Histogram::Add over each score.
+  std::vector<double> counts(static_cast<size_t>(options_.num_bins), 0.0);
+  for (size_t row : part.rows) counts[bins_[row]] += 1.0;
+  double clamped = 0.0;
+  if (num_out_of_range_ > 0) {
+    for (size_t row : part.rows) {
+      const double score = scores_[row];
+      if (score < options_.score_lo || score > options_.score_hi) {
+        clamped += 1.0;
+      }
     }
-    return hit;
   }
-  const uint64_t start_ns =
-      options_.trace != nullptr ? TraceNowNanos() : 0;
-  auto built = std::make_shared<Histogram>(options_.num_bins,
-                                           options_.score_lo,
-                                           options_.score_hi);
-  for (size_t row : partition.rows) built->Add(scores_[row]);
-  std::shared_ptr<const Histogram> result = std::move(built);
-  cache_->InsertHistogram(fp, result);
-  PipelineMetrics::Get().histogram_builds->Increment();
-  if (options_.trace != nullptr) {
-    options_.trace->AddEvent("histogram", options_.trace_parent,
-                             TraceNowNanos() - start_ns);
-  }
-  return result;
+  return Histogram::FromCounts(options_.num_bins, options_.score_lo,
+                               options_.score_hi, std::move(counts), clamped)
+      .value();
 }
 
-StatusOr<double> UnfairnessEvaluator::CachedDistance(uint64_t fp_a,
-                                                     const Histogram& a,
-                                                     uint64_t fp_b,
-                                                     const Histogram& b) const {
-  double cached = 0.0;
-  if (cache_->FindDivergence(fp_a, fp_b, &cached)) {
-    PipelineMetrics::Get().emd_cache_hits->Increment();
-    if (options_.trace != nullptr) {
-      options_.trace->Event("cache-hit", options_.trace_parent);
+UnfairnessEvaluator::Prepared UnfairnessEvaluator::Prepare(
+    const std::vector<const Partition*>& parts) const {
+  TraceEvent event(options_, "histogram");
+  Prepared prepared;
+  prepared.faults = fault::armed();
+  prepared.histograms.reserve(parts.size());
+  for (const Partition* part : parts) {
+    prepared.histograms.push_back(Build(*part));
+  }
+  if (emd_) {
+    prepared.pmfs.reserve(parts.size());
+    for (const Histogram& histogram : prepared.histograms) {
+      prepared.pmfs.push_back(histogram.empty() ? std::vector<double>()
+                                                : histogram.Normalized());
     }
-    return cached;
   }
-  if (fault::OnDivergenceEval()) {
-    return Status::Internal("fault injection: divergence evaluation failed");
+  PipelineMetrics::Get().histogram_builds->Increment(parts.size());
+  return prepared;
+}
+
+StatusOr<double> UnfairnessEvaluator::PairDistance(const Prepared& prepared,
+                                                   size_t i, size_t j) const {
+  if (prepared.faults && fault::OnDivergenceEval()) return DivergenceFault();
+  if (emd_ && !prepared.pmfs[i].empty() && !prepared.pmfs[j].empty()) {
+    return Emd1DMass(prepared.pmfs[i], prepared.pmfs[j],
+                     prepared.histograms[i].bin_width());
   }
-  const uint64_t start_ns =
-      options_.trace != nullptr ? TraceNowNanos() : 0;
-  StatusOr<double> d = divergence_->Distance(a, b);
-  if (d.ok()) cache_->InsertDivergence(fp_a, fp_b, *d);
-  PipelineMetrics::Get().emd_computations->Increment();
-  if (options_.trace != nullptr) {
-    options_.trace->AddEvent("emd", options_.trace_parent,
-                             TraceNowNanos() - start_ns);
-  }
-  return d;
+  return divergence_->Distance(prepared.histograms[i],
+                               prepared.histograms[j]);
 }
 
 Histogram UnfairnessEvaluator::BuildHistogram(
     const Partition& partition) const {
-  return *CachedHistogram(partition);
+  return std::move(Prepare({&partition}).histograms.front());
 }
 
 StatusOr<double> UnfairnessEvaluator::Distance(const Partition& a,
                                                const Partition& b) const {
-  std::shared_ptr<const Histogram> ha = CachedHistogram(a);
-  std::shared_ptr<const Histogram> hb = CachedHistogram(b);
-  return CachedDistance(PartitionFingerprint(a), *ha, PartitionFingerprint(b),
-                        *hb);
+  const Prepared prepared = Prepare({&a, &b});
+  PairLoop loop(options_);
+  StatusOr<double> d = PairDistance(prepared, 0, 1);
+  if (d.ok()) ++loop.pairs;
+  return d;
+}
+
+StatusOr<double> UnfairnessEvaluator::Distance(const Histogram& a,
+                                               const Histogram& b) const {
+  if (fault::OnDivergenceEval()) return DivergenceFault();
+  PairLoop loop(options_);
+  StatusOr<double> d = divergence_->Distance(a, b);
+  if (d.ok()) ++loop.pairs;
+  return d;
 }
 
 StatusOr<std::vector<double>> UnfairnessEvaluator::PairwiseDistances(
@@ -159,18 +203,25 @@ StatusOr<std::vector<double>> UnfairnessEvaluator::PairwiseDistances(
   std::vector<double> distances;
   if (partitioning.size() < 2) return distances;
   const size_t k = partitioning.size();
-  std::vector<uint64_t> fps(k);
-  std::vector<std::shared_ptr<const Histogram>> hists(k);
-  for (size_t i = 0; i < k; ++i) {
-    fps[i] = PartitionFingerprint(partitioning[i]);
-    hists[i] = CachedHistogram(partitioning[i]);
-  }
+  std::vector<const Partition*> parts;
+  parts.reserve(k);
+  for (const Partition& p : partitioning) parts.push_back(&p);
+  const Prepared prepared = Prepare(parts);
 
   const size_t num_pairs = k * (k - 1) / 2;
   // Flatten the upper triangle so pair m maps to (i, j) and distances land
   // in a fixed slot — the final reduction order is deterministic regardless
   // of thread count.
   distances.assign(num_pairs, 0.0);
+  // The hot case — "emd", no empty partition, faults off — needs no Status
+  // per pair: PairDistance would take the same Emd1DMass branch.
+  const bool plain_emd =
+      emd_ && !prepared.faults &&
+      std::none_of(prepared.pmfs.begin(), prepared.pmfs.end(),
+                   [](const std::vector<double>& pmf) { return pmf.empty(); });
+  const double width = prepared.histograms.front().bin_width();
+  PairLoop loop(options_);
+  std::atomic<uint64_t> computed{0};
   Status first_error;
   std::mutex error_mutex;
   // Once any pair fails, sibling chunks stop at their next iteration instead
@@ -192,29 +243,37 @@ StatusOr<std::vector<double>> UnfairnessEvaluator::PairwiseDistances(
             ++i;
           }
           j = i + 1 + (begin - m);
-          for (size_t p = begin; p < end; ++p) {
-            if (abort.load(std::memory_order_relaxed)) return;
-            StatusOr<double> d =
-                CachedDistance(fps[i], *hists[i], fps[j], *hists[j]);
-            if (!d.ok()) {
-              abort.store(true, std::memory_order_relaxed);
-              std::lock_guard<std::mutex> lock(error_mutex);
-              if (first_error.ok()) first_error = d.status();
-              return;
+          size_t p = begin;
+          for (; p < end; ++p) {
+            if (abort.load(std::memory_order_relaxed)) break;
+            if (plain_emd) {
+              distances[p] =
+                  Emd1DMass(prepared.pmfs[i], prepared.pmfs[j], width);
+            } else {
+              StatusOr<double> d = PairDistance(prepared, i, j);
+              if (!d.ok()) {
+                abort.store(true, std::memory_order_relaxed);
+                std::lock_guard<std::mutex> lock(error_mutex);
+                if (first_error.ok()) first_error = d.status();
+                break;
+              }
+              distances[p] = *d;
             }
-            distances[p] = *d;
             if (++j == k) {
               ++i;
               j = i + 1;
             }
           }
+          computed.fetch_add(p - begin, std::memory_order_relaxed);
         });
   } catch (const std::exception& e) {
     // Worker exceptions (including injected faults) are captured by
     // ParallelFor and rethrown here; keep them inside the Status API.
+    loop.pairs = computed.load();
     return Status::Internal(std::string("pairwise unfairness worker: ") +
                             e.what());
   }
+  loop.pairs = computed.load();
   FAIRRANK_RETURN_NOT_OK(first_error);
   if (!complete) {
     return options_.cancel.cancel_requested()
@@ -240,8 +299,7 @@ StatusOr<std::vector<DivergentPair>> TopDivergentPairs(
     size_t k) {
   std::vector<DivergentPair> pairs;
   if (partitioning.size() < 2 || k == 0) return pairs;
-  // Same flattened upper triangle as AveragePairwiseUnfairness — when the
-  // audit already computed it, every lookup below is a cache hit.
+  // Same flattened upper triangle as AveragePairwiseUnfairness.
   FAIRRANK_ASSIGN_OR_RETURN(std::vector<double> distances,
                             eval.PairwiseDistances(partitioning));
   pairs.reserve(distances.size());
@@ -262,14 +320,14 @@ StatusOr<std::vector<DivergentPair>> TopDivergentPairs(
 StatusOr<double> UnfairnessEvaluator::AverageWithSiblings(
     const Partition& current, const std::vector<Partition>& siblings) const {
   if (siblings.empty()) return 0.0;
-  const uint64_t current_fp = PartitionFingerprint(current);
-  std::shared_ptr<const Histogram> current_hist = CachedHistogram(current);
+  std::vector<const Partition*> parts{&current};
+  for (const Partition& s : siblings) parts.push_back(&s);
+  const Prepared prepared = Prepare(parts);
+  PairLoop loop(options_);
   double sum = 0.0;
-  for (const Partition& s : siblings) {
-    std::shared_ptr<const Histogram> sh = CachedHistogram(s);
-    FAIRRANK_ASSIGN_OR_RETURN(
-        double d, CachedDistance(current_fp, *current_hist,
-                                 PartitionFingerprint(s), *sh));
+  for (size_t j = 1; j < parts.size(); ++j) {
+    FAIRRANK_ASSIGN_OR_RETURN(double d, PairDistance(prepared, 0, j));
+    ++loop.pairs;
     sum += d;
   }
   return sum / static_cast<double>(siblings.size());
@@ -278,60 +336,39 @@ StatusOr<double> UnfairnessEvaluator::AverageWithSiblings(
 StatusOr<double> UnfairnessEvaluator::AverageChildrenWithSiblings(
     const std::vector<Partition>& children,
     const std::vector<Partition>& siblings) const {
-  std::vector<uint64_t> child_fps;
-  std::vector<std::shared_ptr<const Histogram>> child_hists;
-  child_fps.reserve(children.size());
-  child_hists.reserve(children.size());
-  for (const Partition& c : children) {
-    child_fps.push_back(PartitionFingerprint(c));
-    child_hists.push_back(CachedHistogram(c));
-  }
-  std::vector<uint64_t> sibling_fps;
-  std::vector<std::shared_ptr<const Histogram>> sibling_hists;
-  sibling_fps.reserve(siblings.size());
-  sibling_hists.reserve(siblings.size());
-  for (const Partition& s : siblings) {
-    sibling_fps.push_back(PartitionFingerprint(s));
-    sibling_hists.push_back(CachedHistogram(s));
-  }
-
+  // Children occupy indices [0, c), siblings [c, c + s).
+  const size_t c = children.size();
+  const size_t total = c + siblings.size();
+  std::vector<const Partition*> parts;
+  parts.reserve(total);
+  for (const Partition& p : children) parts.push_back(&p);
+  for (const Partition& p : siblings) parts.push_back(&p);
+  const Prepared prepared = Prepare(parts);
+  PairLoop loop(options_);
   double sum = 0.0;
-  size_t pairs = 0;
+  auto add = [&](size_t i, size_t j) -> Status {
+    FAIRRANK_ASSIGN_OR_RETURN(double d, PairDistance(prepared, i, j));
+    ++loop.pairs;
+    sum += d;
+    return Status::OK();
+  };
   // Child-child pairs.
-  for (size_t i = 0; i < child_hists.size(); ++i) {
-    for (size_t j = i + 1; j < child_hists.size(); ++j) {
-      FAIRRANK_ASSIGN_OR_RETURN(
-          double d, CachedDistance(child_fps[i], *child_hists[i],
-                                   child_fps[j], *child_hists[j]));
-      sum += d;
-      ++pairs;
-    }
+  for (size_t i = 0; i < c; ++i) {
+    for (size_t j = i + 1; j < c; ++j) FAIRRANK_RETURN_NOT_OK(add(i, j));
   }
   // Child-sibling pairs.
-  for (size_t i = 0; i < child_hists.size(); ++i) {
-    for (size_t j = 0; j < sibling_hists.size(); ++j) {
-      FAIRRANK_ASSIGN_OR_RETURN(
-          double d, CachedDistance(child_fps[i], *child_hists[i],
-                                   sibling_fps[j], *sibling_hists[j]));
-      sum += d;
-      ++pairs;
-    }
+  for (size_t i = 0; i < c; ++i) {
+    for (size_t j = c; j < total; ++j) FAIRRANK_RETURN_NOT_OK(add(i, j));
   }
   if (options_.sibling_comparison == SiblingComparison::kAllPairs) {
     // Also count sibling-sibling pairs: the result is then the average
     // pairwise unfairness of (children ∪ siblings).
-    for (size_t i = 0; i < sibling_hists.size(); ++i) {
-      for (size_t j = i + 1; j < sibling_hists.size(); ++j) {
-        FAIRRANK_ASSIGN_OR_RETURN(
-            double d, CachedDistance(sibling_fps[i], *sibling_hists[i],
-                                     sibling_fps[j], *sibling_hists[j]));
-        sum += d;
-        ++pairs;
-      }
+    for (size_t i = c; i < total; ++i) {
+      for (size_t j = i + 1; j < total; ++j) FAIRRANK_RETURN_NOT_OK(add(i, j));
     }
   }
-  if (pairs == 0) return 0.0;
-  return sum / static_cast<double>(pairs);
+  if (loop.pairs == 0) return 0.0;
+  return sum / static_cast<double>(loop.pairs);
 }
 
 }  // namespace fairrank

@@ -1,15 +1,15 @@
 #ifndef FAIRRANK_FAIRNESS_EVALUATOR_H_
 #define FAIRRANK_FAIRNESS_EVALUATOR_H_
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "common/budget.h"
 #include "common/deadline.h"
 #include "common/status.h"
 #include "common/trace.h"
 #include "data/table.h"
-#include "fairness/eval_cache.h"
 #include "fairness/partition.h"
 #include "stats/divergence.h"
 #include "stats/histogram.h"
@@ -45,10 +45,14 @@ enum class OutOfRangePolicy {
   kReject,
 };
 
+/// Largest supported EvaluatorOptions::num_bins: the evaluator stores each
+/// row's bin in 16 bits.
+inline constexpr int kMaxBins = 1 << 16;
+
 /// Configuration of the unfairness measure.
 struct EvaluatorOptions {
   /// Histogram bin count over the score range ("equal bins over the range
-  /// of f").
+  /// of f"), in [1, kMaxBins].
   int num_bins = 10;
   /// Score range of f; the paper's functions map into [0, 1].
   double score_lo = 0.0;
@@ -69,31 +73,13 @@ struct EvaluatorOptions {
   /// *reporting* — only the search evaluator should be interruptible.
   Deadline deadline;
   CancellationToken cancel;
-  /// Memoize per-partition histograms and pairwise divergences by row-set
-  /// fingerprint (see EvaluatorCache). On by default; `--no-cache` turns it
-  /// off. Results are bit-identical either way — the cache stores exactly
-  /// the values the uncached path would recompute.
-  bool enable_cache = true;
-  /// Byte cap of the memoization cache (0 = uncapped). Exceeding it triggers
-  /// an epoch eviction, never an error.
-  uint64_t cache_max_bytes = 256ull << 20;
-  /// Externally owned cache shared by several evaluators. Null (default):
-  /// the evaluator creates a private cache. Sharing is only valid between
-  /// evaluators over the *same* score vector and histogram shape — cache
-  /// entries are keyed by row-set fingerprint alone. The suite scheduler
-  /// uses this to share one cache per scoring-function column across that
-  /// column's algorithm cells (EvaluatorCache is thread-safe); the sharer is
-  /// responsible for attaching any budget-charging context exactly once.
-  /// When set, `enable_cache`/`cache_max_bytes` above are ignored — the
-  /// shared cache was built with its own configuration.
-  std::shared_ptr<EvaluatorCache> shared_cache;
   /// Policy for scores outside [score_lo, score_hi]; see OutOfRangePolicy.
   OutOfRangePolicy out_of_range = OutOfRangePolicy::kCount;
-  /// Borrowed per-request trace (see common/trace.h). When set, every
-  /// histogram build, divergence computation, and cache hit records a span
-  /// ("histogram" / "emd" / "cache-hit") under `trace_parent`. Null =
-  /// tracing off; recording is thread-safe (the pairwise pool records
-  /// concurrently). The auditor wires this from its ExecutionLimits.
+  /// Borrowed per-request trace (see common/trace.h). When set, each public
+  /// call records one "histogram" event covering its histogram builds and
+  /// one "emd" event covering its divergence loop, under `trace_parent`;
+  /// per-pair work shows up in the pipeline counters, not as span events.
+  /// Null = tracing off. The auditor wires this from its ExecutionLimits.
   TraceContext* trace = nullptr;
   int64_t trace_parent = -1;
 };
@@ -104,15 +90,18 @@ struct EvaluatorOptions {
 /// partition histograms on demand, and exposes the sibling-relative averages
 /// Algorithm 2 needs.
 ///
-/// All evaluation paths are memoized through an EvaluatorCache keyed by
-/// partition row-set fingerprints: a partition reached twice (sibling
-/// re-evaluation, beam overlap, different split orders producing the same
-/// cell) pays for its histogram and its divergences once. The cache is
-/// internal to this evaluator — it is never valid for a different score
-/// vector — and cache-on/off results are bit-identical.
+/// There is one evaluation path and it memoizes nothing: each public call
+/// builds the histograms it needs once, straight from rows, then runs its
+/// pair loop over them. For the paper's "emd" divergence the call also
+/// normalizes each histogram once, so the pair loop is Emd1DMass over
+/// precomputed PMFs with no allocation per pair; other divergences go
+/// through Divergence::Distance. Both give bit-identical values: the same
+/// counts[i] / total PMFs, the same Emd1DMass, the same summation order.
+/// Searches that revisit partitions (exhaustive) keep their own memo over
+/// BuildHistogram and the histogram overload of Distance.
 ///
 /// Thread-compatible: logically const after construction; all accessors are
-/// const (the cache is internally synchronized).
+/// const.
 class UnfairnessEvaluator {
  public:
   /// `table` must outlive the evaluator; `scores` must have one entry per
@@ -127,6 +116,10 @@ class UnfairnessEvaluator {
   /// Divergence between two partitions' histograms. Both must be non-empty
   /// (guaranteed for splitter-produced partitions).
   StatusOr<double> Distance(const Partition& a, const Partition& b) const;
+
+  /// Divergence between two histograms built by BuildHistogram, counted and
+  /// fault-injected like every pair the evaluator computes.
+  StatusOr<double> Distance(const Histogram& a, const Histogram& b) const;
 
   /// unfairness(P, f): average pairwise divergence over all partition pairs.
   /// A partitioning with fewer than two partitions has unfairness 0.
@@ -147,24 +140,11 @@ class UnfairnessEvaluator {
 
   /// All pairwise divergences of `partitioning`, flattened in upper-triangle
   /// order: pair (i, j), i < j, lands at the slot both
-  /// AveragePairwiseUnfairness and TopDivergentPairs read — one memoized
-  /// computation serves both. Honors the deadline/cancel options like
-  /// AveragePairwiseUnfairness; fewer than two partitions yields an empty
-  /// vector.
+  /// AveragePairwiseUnfairness and TopDivergentPairs read. Honors the
+  /// deadline/cancel options like AveragePairwiseUnfairness; fewer than two
+  /// partitions yields an empty vector.
   StatusOr<std::vector<double>> PairwiseDistances(
       const Partitioning& partitioning) const;
-
-  /// Attaches the search's ExecutionContext so net new cache memory is
-  /// charged against its ResourceBudget (see EvaluatorCache). Call before
-  /// the search starts; auditors do this for the search evaluator only.
-  void AttachExecutionContext(const ExecutionContext& context) {
-    cache_->AttachContext(context);
-  }
-
-  /// Cache counters so far (hits, misses = actual builds, evictions,
-  /// resident bytes). Meaningful with the cache disabled too: misses then
-  /// count every recomputation.
-  EvalCacheStats cache_stats() const { return cache_->Snapshot(); }
 
   /// Number of input scores outside [score_lo, score_hi] (0 under kReject,
   /// which refuses such inputs). Reports surface a warning when nonzero.
@@ -176,39 +156,50 @@ class UnfairnessEvaluator {
   const Divergence& divergence() const { return *divergence_; }
 
  private:
+  /// The histograms one call compares, built once each; for "emd" also
+  /// their PMFs (empty for an empty histogram, whose pairs fall back to
+  /// Divergence::Distance and its error).
+  struct Prepared {
+    std::vector<Histogram> histograms;
+    std::vector<std::vector<double>> pmfs;
+    /// fault::armed(), read once per call rather than once per pair.
+    bool faults = false;
+  };
+
   UnfairnessEvaluator(const Table* table, std::vector<double> scores,
+                      std::vector<uint16_t> bins,
                       const EvaluatorOptions& options,
                       std::unique_ptr<Divergence> divergence,
                       size_t num_out_of_range)
       : table_(table),
         scores_(std::move(scores)),
+        bins_(std::move(bins)),
         options_(options),
         divergence_(std::move(divergence)),
-        num_out_of_range_(num_out_of_range),
-        cache_(options.shared_cache != nullptr
-                   ? options.shared_cache
-                   : std::make_shared<EvaluatorCache>(
-                         options.enable_cache, options.cache_max_bytes)) {}
+        emd_(divergence_->Name() == "emd"),
+        num_out_of_range_(num_out_of_range) {}
 
-  /// The partition's histogram via the cache: lookup by fingerprint, build
-  /// and insert on a miss. Never null.
-  std::shared_ptr<const Histogram> CachedHistogram(
-      const Partition& partition) const;
+  /// The score histogram of `part`, built from its rows.
+  Histogram Build(const Partition& part) const;
 
-  /// The divergence of two histograms via the cache, keyed by the unordered
-  /// fingerprint pair. Runs the fault-injection divergence hook on the
-  /// compute (miss) path only.
-  StatusOr<double> CachedDistance(uint64_t fp_a, const Histogram& a,
-                                  uint64_t fp_b, const Histogram& b) const;
+  /// Builds (and for "emd" normalizes) the histograms of `parts`, in order.
+  Prepared Prepare(const std::vector<const Partition*>& parts) const;
+
+  /// Divergence of prepared histograms i and j, after the fault-injection
+  /// hook. Does not bump the pipeline counter; callers count per call.
+  StatusOr<double> PairDistance(const Prepared& prepared, size_t i,
+                                size_t j) const;
 
   const Table* table_;
   std::vector<double> scores_;
+  /// Histogram bin of every row's score (Histogram::BinOf), so a build is
+  /// one increment per row.
+  std::vector<uint16_t> bins_;
   EvaluatorOptions options_;
   std::unique_ptr<Divergence> divergence_;
+  /// The divergence is the paper's 1-D EMD: pairs run on PMFs.
+  bool emd_ = false;
   size_t num_out_of_range_ = 0;
-  /// shared_ptr so the evaluator stays movable/copyable; the cache contents
-  /// are keyed by row sets, which move with the score vector.
-  std::shared_ptr<EvaluatorCache> cache_;
 };
 
 /// One highly divergent partition pair — the "who exactly is treated

@@ -1,5 +1,12 @@
 #include "fairness/exhaustive.h"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <map>
+#include <optional>
+#include <utility>
+
 #include "common/stopwatch.h"
 #include "common/trace.h"
 #include "fairness/beam.h"
@@ -10,10 +17,82 @@ namespace fairrank {
 namespace {
 
 /// One unresolved node of the partitioning tree being enumerated: a
-/// partition plus the attributes still allowed on its subtree.
+/// partition, its memo id, and the attributes still allowed on its subtree.
 struct PendingNode {
   Partition partition;
   std::vector<size_t> attrs;
+  size_t id = 0;
+};
+
+/// The search's private memo, alive for one Run and never shared, so it
+/// takes no lock. Each distinct partition gets a dense id keyed by its
+/// sorted split constraints: equal constraint sets select equal row sets,
+/// whatever the split order. The memo keeps one histogram per id and a
+/// lazily filled distance matrix indexed (first, second) in call order, so
+/// a memoized average is bit-identical to AveragePairwiseUnfairness.
+class PartitionMemo {
+ public:
+  explicit PartitionMemo(const UnfairnessEvaluator& eval) : eval_(eval) {}
+
+  /// Sets `*id` to the partition's id. A first sighting builds the
+  /// histogram and charges the memo's growth, including the matrix row and
+  /// column the id may fill, through `context`; the returned reason is the
+  /// charge's verdict (the id is valid either way).
+  ExhaustionReason Intern(const Partition& partition,
+                          const ExecutionContext& context, size_t* id) {
+    std::vector<std::pair<size_t, int>> key;
+    key.reserve(partition.path.size());
+    for (const SplitStep& step : partition.path) {
+      key.emplace_back(step.attr_index, step.group_index);
+    }
+    std::sort(key.begin(), key.end());
+    const size_t next = histograms_.size();
+    auto [it, inserted] = ids_.emplace(std::move(key), next);
+    *id = it->second;
+    if (!inserted) return ExhaustionReason::kNone;
+    histograms_.push_back(eval_.BuildHistogram(partition));
+    distances_.emplace_back();
+    const Histogram& h = histograms_.back();
+    return context.CheckMemory(
+        sizeof(Histogram) + h.counts().size() * sizeof(double) +
+        it->first.size() * sizeof(it->first.front()) +
+        2 * (next + 1) * sizeof(double));
+  }
+
+  /// Average pairwise divergence of the partitions `ids`, summed over
+  /// (i, j), i < j, in the order PairwiseDistances flattens them.
+  StatusOr<double> AveragePairwise(const std::vector<size_t>& ids) {
+    const size_t k = ids.size();
+    if (k < 2) return 0.0;
+    double sum = 0.0;
+    for (size_t i = 0; i < k; ++i) {
+      for (size_t j = i + 1; j < k; ++j) {
+        FAIRRANK_ASSIGN_OR_RETURN(double d, Distance(ids[i], ids[j]));
+        sum += d;
+      }
+    }
+    return sum / static_cast<double>(k * (k - 1) / 2);
+  }
+
+ private:
+  StatusOr<double> Distance(size_t a, size_t b) {
+    std::vector<double>& row = distances_[a];
+    if (b >= row.size()) {
+      row.resize(histograms_.size(), std::numeric_limits<double>::quiet_NaN());
+    }
+    // NaN marks "not computed yet"; a divergence never returns NaN (its
+    // failures are Statuses), so a stored value is never recomputed.
+    if (std::isnan(row[b])) {
+      FAIRRANK_ASSIGN_OR_RETURN(row[b],
+                                eval_.Distance(histograms_[a], histograms_[b]));
+    }
+    return row[b];
+  }
+
+  const UnfairnessEvaluator& eval_;
+  std::map<std::vector<std::pair<size_t, int>>, size_t> ids_;
+  std::vector<Histogram> histograms_;
+  std::vector<std::vector<double>> distances_;
 };
 
 class ExhaustiveAlgorithm : public PartitioningAlgorithm {
@@ -34,13 +113,17 @@ class ExhaustiveAlgorithm : public PartitioningAlgorithm {
     trip_ = ExhaustionReason::kNone;
     context_ = &context;
     stopwatch_.Restart();
+    memo_.emplace(eval);
+    leaf_ids_.clear();
 
     Partition root = MakeRootPartition(eval.table().num_rows());
     std::vector<size_t> attrs_copy = attrs;  // For the beam fallback.
     std::vector<PendingNode> pending;
     pending.push_back({root, std::move(attrs)});
+    trip_ = memo_->Intern(root, context, &pending.back().id);
     Partitioning leaves;
     FAIRRANK_RETURN_NOT_OK(Recurse(eval, &pending, &leaves));
+    memo_.reset();
 
     SearchResult result;
     result.nodes_visited = evaluated_;
@@ -103,7 +186,7 @@ class ExhaustiveAlgorithm : public PartitioningAlgorithm {
       }
       ScopedSpan evaluate_span(context_->trace(), "evaluate",
                                context_->trace_parent());
-      StatusOr<double> avg = eval.AveragePairwiseUnfairness(*leaves);
+      StatusOr<double> avg = memo_->AveragePairwise(leaf_ids_);
       if (!avg.ok()) {
         if (!IsExhaustion(avg.status())) return avg.status();
         trip_ = ExhaustionReasonFromStatus(avg.status());
@@ -121,8 +204,10 @@ class ExhaustiveAlgorithm : public PartitioningAlgorithm {
 
     // Option 1: close this node as a leaf.
     leaves->push_back(node.partition);
+    leaf_ids_.push_back(node.id);
     FAIRRANK_RETURN_NOT_OK(Recurse(eval, pending, leaves));
     leaves->pop_back();
+    leaf_ids_.pop_back();
 
     // Option 2: split on each remaining attribute with >= 2 represented
     // values (single-child splits would re-enumerate the same partitioning).
@@ -140,9 +225,14 @@ class ExhaustiveAlgorithm : public PartitioningAlgorithm {
       remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(pos));
       size_t old_size = pending->size();
       for (Partition& child : children) {
-        pending->push_back({std::move(child), remaining});
+        size_t id = 0;
+        ExhaustionReason why = memo_->Intern(child, *context_, &id);
+        if (why != ExhaustionReason::kNone) trip_ = why;
+        pending->push_back({std::move(child), remaining, id});
       }
-      FAIRRANK_RETURN_NOT_OK(Recurse(eval, pending, leaves));
+      if (trip_ == ExhaustionReason::kNone) {
+        FAIRRANK_RETURN_NOT_OK(Recurse(eval, pending, leaves));
+      }
       pending->resize(old_size);
     }
 
@@ -152,6 +242,8 @@ class ExhaustiveAlgorithm : public PartitioningAlgorithm {
 
   ExhaustiveOptions options_;
   const ExecutionContext* context_ = nullptr;
+  std::optional<PartitionMemo> memo_;  ///< Lives for one Run.
+  std::vector<size_t> leaf_ids_;       ///< Memo ids of `leaves`, in order.
   ExhaustionReason trip_ = ExhaustionReason::kNone;
   uint64_t evaluated_ = 0;
   double best_avg_ = -1.0;

@@ -87,21 +87,14 @@ StatusOr<AuditOptions> AuditOptionsFromFlags(const FlagParser& flags) {
     }
   }
   FAIRRANK_ASSIGN_OR_RETURN(options.limits, ParseExecutionLimits(flags));
-  FAIRRANK_ASSIGN_OR_RETURN(bool no_cache, flags.GetBool("no-cache", false));
-  options.evaluator.enable_cache = !no_cache;
-  FAIRRANK_ASSIGN_OR_RETURN(int64_t cache_mb, flags.GetInt("cache-mb", 256));
-  if (cache_mb < 0) {
-    return Status::InvalidArgument("--cache-mb must be >= 0");
-  }
-  options.evaluator.cache_max_bytes = static_cast<uint64_t>(cache_mb) << 20;
   return options;
 }
 
 const std::vector<std::string>& AuditOptionFlagNames() {
   static const std::vector<std::string>* names = new std::vector<std::string>{
-      "algorithm",  "bins",      "divergence",    "seed",
-      "beam-width", "threads",   "attributes",    "timeout-ms",
-      "max-nodes",  "max-memory-mb", "no-cache",  "cache-mb",
+      "algorithm",  "bins",    "divergence", "seed",
+      "beam-width", "threads", "attributes", "timeout-ms",
+      "max-nodes",  "max-memory-mb",
   };
   return *names;
 }

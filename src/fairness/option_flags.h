@@ -32,7 +32,7 @@ StatusOr<std::unique_ptr<ScoringFunction>> MakeFunctionFromSpec(
 StatusOr<ExecutionLimits> ParseExecutionLimits(const FlagParser& flags);
 
 /// Parses the audit-shaping flags (algorithm, bins, divergence, seed,
-/// beam-width, threads, attributes, cache flags) plus ParseExecutionLimits
+/// beam-width, threads, attributes) plus ParseExecutionLimits
 /// into AuditOptions.
 StatusOr<AuditOptions> AuditOptionsFromFlags(const FlagParser& flags);
 

@@ -68,20 +68,8 @@ std::string FormatAuditReport(const AuditResult& result,
     }
     out += "\n";
   }
-  // Cache and range diagnostics print only when the audit recorded any, so
+  // The range diagnostic prints only when the audit recorded any, so
   // hand-built results render exactly as before.
-  if (result.cache.histogram_lookups() > 0 ||
-      result.cache.divergence_lookups() > 0) {
-    out += "  cache: histograms " +
-           std::to_string(result.cache.histogram_hits) + "/" +
-           std::to_string(result.cache.histogram_lookups()) + " hits (" +
-           FormatDouble(100.0 * result.cache.histogram_hit_rate(), 1) +
-           "%), divergences " + std::to_string(result.cache.divergence_hits) +
-           "/" + std::to_string(result.cache.divergence_lookups()) +
-           " hits (" +
-           FormatDouble(100.0 * result.cache.divergence_hit_rate(), 1) +
-           "%), evictions " + std::to_string(result.cache.evictions) + "\n";
-  }
   if (result.out_of_range_scores > 0) {
     out += "  warning: " + std::to_string(result.out_of_range_scores) +
            " scores fell outside the histogram range and were clamped into "
@@ -183,17 +171,6 @@ std::string FormatAuditJson(const AuditResult& result) {
   out += "\"nodes_per_sec\":" + FormatDouble(result.nodes_per_sec, 1) + ",";
   out += "\"out_of_range_scores\":" +
          std::to_string(result.out_of_range_scores) + ",";
-  out += "\"cache\":{";
-  out += "\"histogram_hits\":" + std::to_string(result.cache.histogram_hits) +
-         ",";
-  out += "\"histogram_misses\":" +
-         std::to_string(result.cache.histogram_misses) + ",";
-  out += "\"divergence_hits\":" +
-         std::to_string(result.cache.divergence_hits) + ",";
-  out += "\"divergence_misses\":" +
-         std::to_string(result.cache.divergence_misses) + ",";
-  out += "\"evictions\":" + std::to_string(result.cache.evictions) + ",";
-  out += "\"bytes_used\":" + std::to_string(result.cache.bytes_used) + "},";
   out += "\"attributes_used\":[";
   for (size_t i = 0; i < result.attributes_used.size(); ++i) {
     if (i > 0) out += ",";

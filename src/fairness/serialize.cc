@@ -120,13 +120,9 @@ StatusOr<Partitioning> ApplyPartitioningSpec(const Table& table,
   Partitioning compact;
   for (Partition& p : result) {
     if (p.rows.empty()) continue;
-    p.fingerprint = RowSetFingerprint(p.rows);
     compact.push_back(std::move(p));
   }
-  if (!rest.rows.empty()) {
-    rest.fingerprint = RowSetFingerprint(rest.rows);
-    compact.push_back(std::move(rest));
-  }
+  if (!rest.rows.empty()) compact.push_back(std::move(rest));
   if (compact.empty()) {
     return Status::InvalidArgument("spec matched no rows of this table");
   }

@@ -18,9 +18,6 @@ std::vector<Partition> SplitPartition(const Table& table,
     if (child.rows.empty()) continue;
     child.path = partition.path;
     child.path.push_back({attr_index, g});
-    // Fingerprint the row set (not the path): the same cell reached through
-    // a different split order hits the same evaluator cache entries.
-    child.fingerprint = RowSetFingerprint(child.rows);
     result.push_back(std::move(child));
   }
   return result;

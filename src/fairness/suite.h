@@ -50,16 +50,6 @@ struct SuiteOptions {
   /// order. 1 = serial (default). For deterministic algorithms results are
   /// bit-identical across thread counts.
   int num_threads = 1;
-  /// Share one evaluator cache per scoring-function column across that
-  /// column's algorithm cells (valid: one column = one score vector; cache
-  /// entries are keyed by row-set fingerprint). Saves re-building the same
-  /// histograms five times per column; values are bit-identical either way.
-  /// With sharing on, per-cell cache counters are cumulative snapshots of
-  /// the column's cache at cell completion — use SuiteSummary::cache (or
-  /// SuiteResult::column_cache) for exact totals. Under kTotal the shared
-  /// caches charge their growth to the grid's parent budget; under kPerCell
-  /// they are bounded by `evaluator.cache_max_bytes` only.
-  bool share_column_cache = true;
 };
 
 /// One (algorithm, function) cell of the grid.
@@ -75,10 +65,6 @@ struct SuiteCell {
   ExhaustionReason exhaustion_reason = ExhaustionReason::kNone;
   uint64_t nodes_visited = 0;  ///< Search work; see AuditResult.
   double nodes_per_sec = 0.0;  ///< Search throughput of this cell.
-  /// Evaluator-cache counters of this cell's audit (search + reporting).
-  /// With SuiteOptions::share_column_cache these are cumulative over the
-  /// cell's whole column up to this cell's completion.
-  EvalCacheStats cache;
   /// Non-OK when this cell's audit failed: the failure degrades the cell
   /// (rendered as ERR, metrics zeroed), never the grid — completed cells
   /// are always kept.
@@ -95,9 +81,6 @@ struct SuiteSummary {
   double nodes_per_sec = 0.0;  ///< total_nodes / wall_seconds.
   size_t cells_truncated = 0;  ///< Cells whose search stopped early.
   size_t cells_failed = 0;     ///< Cells carrying a non-OK SuiteCell::error.
-  /// Exact aggregate cache counters (summed over column caches when shared,
-  /// over per-cell caches otherwise — never double-counted).
-  EvalCacheStats cache;
 };
 
 /// A full grid of audits.
@@ -105,10 +88,6 @@ struct SuiteResult {
   std::vector<std::string> algorithms;           ///< Row labels.
   std::vector<std::string> functions;            ///< Column labels.
   std::vector<std::vector<SuiteCell>> cells;     ///< [algorithm][function].
-  /// Final cache counters per function column (aligned with `functions`).
-  /// With share_column_cache each entry is that column's one shared cache;
-  /// otherwise the sum of the column's per-cell caches.
-  std::vector<EvalCacheStats> column_cache;
   SuiteSummary summary;
 };
 
@@ -144,12 +123,12 @@ std::string FormatSuiteRuntime(const SuiteResult& result);
 
 /// Renders the grid as RFC-4180 CSV rows:
 /// algorithm,function,unfairness,seconds,num_partitions,attributes,
-/// truncated,exhaustion_reason,nodes_visited,nodes_per_sec,hist_hit_rate,
-/// div_hit_rate,error. Every field is CsvEscape'd.
+/// truncated,exhaustion_reason,nodes_visited,nodes_per_sec,error. Every
+/// field is CsvEscape'd.
 std::string FormatSuiteCsv(const SuiteResult& result);
 
 /// Renders the suite-level summary (wall time, serial-equivalent time,
-/// total nodes, cache hit rates, truncated/failed counts) as text lines.
+/// total nodes, truncated/failed counts) as text lines.
 std::string FormatSuiteSummary(const SuiteResult& result);
 
 /// The summary as a one-row CSV block (header + row), for appending to the

@@ -133,7 +133,6 @@ std::vector<std::string> KnownSuiteParams() {
   known.push_back("algorithms");
   known.push_back("suite-threads");
   known.push_back("suite-budget");
-  known.push_back("no-share-cache");
   known.push_back("dataset");
   return known;
 }
@@ -162,7 +161,6 @@ StatusOr<HandlerResult> RunAudit(const ServerEnv& env,
   HandlerResult out;
   out.response.body = FormatAuditJson(result);
   out.truncated = result.truncated;
-  out.cache = result.cache;
   return out;
 }
 
@@ -216,9 +214,6 @@ StatusOr<HandlerResult> RunSuite(const ServerEnv& env,
   } else {
     return Status::InvalidArgument("suite-budget must be total|per-cell");
   }
-  FAIRRANK_ASSIGN_OR_RETURN(bool no_share,
-                            flags.GetBool("no-share-cache", false));
-  options.share_column_cache = !no_share;
 
   AuditSuite suite(table);
   FAIRRANK_ASSIGN_OR_RETURN(SuiteResult result,
@@ -226,7 +221,6 @@ StatusOr<HandlerResult> RunSuite(const ServerEnv& env,
   HandlerResult out;
   out.response.body = FormatSuiteJson(result);
   out.truncated = result.summary.cells_truncated > 0;
-  out.cache = result.summary.cache;
   return out;
 }
 

@@ -8,7 +8,6 @@
 #include "common/budget.h"
 #include "common/deadline.h"
 #include "data/table.h"
-#include "fairness/eval_cache.h"
 #include "server/http.h"
 
 namespace fairrank {
@@ -48,7 +47,6 @@ struct ServerEnv {
 struct HandlerResult {
   HttpResponse response;
   bool truncated = false;   ///< 200 whose body carries truncated: true.
-  EvalCacheStats cache;     ///< Evaluator-cache counters of this request.
 };
 
 /// GET/POST /audit — one audit over a loaded dataset. Query (and
@@ -65,9 +63,9 @@ HandlerResult HandleAudit(const ServerEnv& env, const HttpRequest& request,
 
 /// GET/POST /suite — an algorithms × functions grid over a loaded dataset.
 /// Accepts the audit parameters plus `functions`, `algorithms`,
-/// `suite-threads` (clamped to max_request_threads), `suite-budget`,
-/// `no-share-cache`. Failed cells degrade inside the grid (SuiteCell::
-/// error); the response is 200 unless the grid itself cannot be configured.
+/// `suite-threads` (clamped to max_request_threads) and `suite-budget`.
+/// Failed cells degrade inside the grid (SuiteCell::error); the response is
+/// 200 unless the grid itself cannot be configured.
 /// `trace` as in HandleAudit (cells record spans concurrently; the trace
 /// is thread-safe).
 HandlerResult HandleSuite(const ServerEnv& env, const HttpRequest& request,

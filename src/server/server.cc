@@ -24,13 +24,6 @@ namespace fairrank {
 
 namespace {
 
-/// Accumulated cache counters worth rolling up (all-zero snapshots are
-/// common for /healthz//stats and add lock traffic for nothing).
-bool HasCacheActivity(const EvalCacheStats& stats) {
-  return stats.histogram_lookups() != 0 || stats.divergence_lookups() != 0 ||
-         stats.evictions != 0;
-}
-
 Status SetNonBlocking(int fd) {
   int flags = fcntl(fd, F_GETFL, 0);
   if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
@@ -351,7 +344,6 @@ void FairAuditServer::ServeConnection(int fd) {
                  path == "/stats" || path == "/metrics";
     stats_.RecordRequest(known ? path : "(other)", result.response.status,
                          seconds, result.truncated);
-    if (HasCacheActivity(result.cache)) stats_.RecordCache(result.cache);
 
     const double duration_ms = seconds * 1000.0;
     if (options_.log_sink) {

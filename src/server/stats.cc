@@ -17,11 +17,6 @@ void ServerStats::RecordRequest(const std::string& endpoint, int status,
   ep.latency.Observe(seconds);
 }
 
-void ServerStats::RecordCache(const EvalCacheStats& stats) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  cache_.Add(stats);
-}
-
 void ServerStats::RecordShed(const std::string& reason) {
   std::lock_guard<std::mutex> lock(mutex_);
   ++shed_[reason];
@@ -98,20 +93,6 @@ std::string ServerStats::ToJson(const ResourceBudget* process_budget,
            std::string(process_budget->memory_exhausted() ? "true" : "false");
     out += "},";
   }
-
-  out += "\"cache\":{";
-  out += "\"histogram_hits\":" + std::to_string(cache_.histogram_hits) + ",";
-  out += "\"histogram_misses\":" + std::to_string(cache_.histogram_misses) +
-         ",";
-  out += "\"divergence_hits\":" + std::to_string(cache_.divergence_hits) + ",";
-  out += "\"divergence_misses\":" + std::to_string(cache_.divergence_misses) +
-         ",";
-  out += "\"evictions\":" + std::to_string(cache_.evictions) + ",";
-  out += "\"histogram_hit_rate\":" +
-         FormatDouble(cache_.histogram_hit_rate(), 4) + ",";
-  out += "\"divergence_hit_rate\":" +
-         FormatDouble(cache_.divergence_hit_rate(), 4);
-  out += "},";
 
   out += "\"endpoints\":{";
   first = true;
@@ -258,20 +239,6 @@ std::string ServerStats::ToPrometheus(
          "Cached responses currently resident");
   Sample(&out, "fairrank_response_cache_entries_count", "",
          std::to_string(response_cache.entries));
-
-  const std::string ecache = "fairrank_eval_cache_events_total";
-  Header(&out, ecache, "counter",
-         "Evaluator-cache activity rolled up over finished requests");
-  Sample(&out, ecache, "event=\"histogram_hits\"",
-         std::to_string(cache_.histogram_hits));
-  Sample(&out, ecache, "event=\"histogram_misses\"",
-         std::to_string(cache_.histogram_misses));
-  Sample(&out, ecache, "event=\"divergence_hits\"",
-         std::to_string(cache_.divergence_hits));
-  Sample(&out, ecache, "event=\"divergence_misses\"",
-         std::to_string(cache_.divergence_misses));
-  Sample(&out, ecache, "event=\"evictions\"",
-         std::to_string(cache_.evictions));
 
   if (process_budget != nullptr) {
     Header(&out, "fairrank_budget_nodes_used_count", "gauge",

@@ -23,21 +23,6 @@ Status CheckComparable(const Histogram& a, const Histogram& b) {
 
 }  // namespace
 
-double Emd1DMass(const std::vector<double>& a, const std::vector<double>& b,
-                 double bin_width) {
-  double emd = 0.0;
-  double cdf_diff = 0.0;
-  // The final term |sum(a) - sum(b)| is included: it vanishes for equal-mass
-  // inputs (normalized histograms agree up to rounding) but carries the
-  // mass-imbalance cost for unnormalized or drifted vectors, so imbalance is
-  // visible instead of silently dropped.
-  for (size_t i = 0; i < a.size(); ++i) {
-    cdf_diff += a[i] - b[i];
-    emd += std::abs(cdf_diff);
-  }
-  return emd * bin_width;
-}
-
 StatusOr<double> Emd1D(const Histogram& a, const Histogram& b) {
   FAIRRANK_RETURN_NOT_OK(CheckComparable(a, b));
   return Emd1DMass(a.Normalized(), b.Normalized(), a.bin_width());

@@ -1,6 +1,7 @@
 #ifndef FAIRRANK_STATS_EMD_H_
 #define FAIRRANK_STATS_EMD_H_
 
+#include <cmath>
 #include <vector>
 
 #include "common/status.h"
@@ -29,8 +30,21 @@ StatusOr<double> Emd1D(const Histogram& a, const Histogram& b);
 /// As Emd1D but on raw normalized mass vectors of equal length with unit
 /// ground distance between adjacent bins scaled by `bin_width`.
 /// `a` and `b` must each sum to 1 (not checked; garbage in, garbage out).
-double Emd1DMass(const std::vector<double>& a, const std::vector<double>& b,
-                 double bin_width);
+/// Inline: it is the evaluator's per-pair inner loop.
+inline double Emd1DMass(const std::vector<double>& a,
+                        const std::vector<double>& b, double bin_width) {
+  double emd = 0.0;
+  double cdf_diff = 0.0;
+  // The final term |sum(a) - sum(b)| is included: it vanishes for
+  // equal-mass inputs (normalized histograms agree up to rounding) but
+  // carries the mass-imbalance cost for unnormalized or drifted vectors, so
+  // imbalance is visible instead of silently dropped.
+  for (size_t i = 0; i < a.size(); ++i) {
+    cdf_diff += a[i] - b[i];
+    emd += std::abs(cdf_diff);
+  }
+  return emd * bin_width;
+}
 
 /// General EMD with an arbitrary non-negative ground-distance matrix
 /// (cost[i][j] = distance between bin i of `a` and bin j of `b`), solved

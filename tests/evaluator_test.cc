@@ -1,8 +1,12 @@
 #include "fairness/evaluator.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "fairness/splitter.h"
+#include "marketplace/generator.h"
+#include "marketplace/scoring.h"
 #include "marketplace/worker.h"
 
 namespace fairrank {
@@ -38,6 +42,12 @@ TEST(EvaluatorTest, MakeValidation) {
   options.num_bins = 0;
   EXPECT_FALSE(
       UnfairnessEvaluator::Make(&table, ToyScores(table), options).ok());
+  options.num_bins = kMaxBins + 1;
+  EXPECT_FALSE(
+      UnfairnessEvaluator::Make(&table, ToyScores(table), options).ok());
+  options.num_bins = kMaxBins;
+  EXPECT_TRUE(
+      UnfairnessEvaluator::Make(&table, ToyScores(table), options).ok());
   options.num_bins = 10;
   options.score_hi = options.score_lo;
   EXPECT_FALSE(
@@ -69,6 +79,15 @@ TEST(EvaluatorTest, OutOfRangeScoresCountedByDefault) {
   EXPECT_EQ(eval.num_out_of_range(), 2u);
   // In-range vectors report zero.
   EXPECT_EQ(MakeToyEvaluator(&table).num_out_of_range(), 0u);
+  // Built histograms fold the offenders into the edge bins exactly as
+  // Histogram::Add does, clamped mass included.
+  Partition root = MakeRootPartition(table.num_rows());
+  Histogram naive(10, 0.0, 1.0);
+  for (size_t row : root.rows) naive.Add(scores[row]);
+  Histogram built = eval.BuildHistogram(root);
+  EXPECT_EQ(built.counts(), naive.counts());
+  EXPECT_EQ(built.total(), naive.total());
+  EXPECT_EQ(built.clamped_count(), 2.0);
 }
 
 TEST(EvaluatorTest, OutOfRangeScoresRejectedUnderRejectPolicy) {
@@ -267,6 +286,164 @@ TEST(EvaluatorTest, DivergenceOptionChangesMeasure) {
   Partitioning p(children.begin(), children.end());
   EXPECT_NE(emd_eval.AveragePairwiseUnfairness(p).value(),
             tv_eval.AveragePairwiseUnfairness(p).value());
+}
+
+// ---------------------------------------------------------------------------
+// Oracles. The evaluator's pair loops (PMFs built once per call for "emd",
+// Divergence::Distance otherwise) must equal, bit for bit, a naive loop over
+// histograms built straight from rows — for every divergence and both
+// sibling readings.
+
+/// A generated population scored by alpha:0.5, split on three protected
+/// attributes: dozens of partitions with uneven sizes.
+struct OracleFixture {
+  explicit OracleFixture(Table t) : table(std::move(t)) {
+    scores = MakeAlphaFunction("f", 0.5)->ScoreAll(table).value();
+    cells = {MakeRootPartition(table.num_rows())};
+    std::vector<size_t> attrs = table.schema().ProtectedIndices();
+    for (size_t a = 0; a < 3; ++a) cells = SplitAll(table, cells, attrs[a]);
+  }
+
+  UnfairnessEvaluator Make(const EvaluatorOptions& options) const {
+    return UnfairnessEvaluator::Make(&table, scores, options).value();
+  }
+
+  Table table;
+  std::vector<double> scores;
+  Partitioning cells;
+};
+
+OracleFixture MakeOracleFixture() {
+  GeneratorOptions gen;
+  gen.num_workers = 400;
+  gen.seed = 17;
+  return OracleFixture(GenerateWorkers(gen).value());
+}
+
+/// The row-built histogram of `p`, as the paper defines it.
+Histogram NaiveHistogram(const std::vector<double>& scores,
+                         const Partition& p) {
+  Histogram h(EvaluatorOptions().num_bins, 0.0, 1.0);
+  for (size_t row : p.rows) h.Add(scores[row]);
+  return h;
+}
+
+/// Mean of `divergence` over `pairs` of row-built histograms, summed in the
+/// given order.
+double NaiveMean(const Divergence& divergence,
+                 const std::vector<double>& scores,
+                 const std::vector<std::pair<const Partition*,
+                                             const Partition*>>& pairs) {
+  double sum = 0.0;
+  for (const auto& [a, b] : pairs) {
+    sum += divergence
+               .Distance(NaiveHistogram(scores, *a),
+                         NaiveHistogram(scores, *b))
+               .value();
+  }
+  return sum / static_cast<double>(pairs.size());
+}
+
+TEST(EvaluatorOracleTest, PairwiseAverageEqualsNaiveLoopForEveryDivergence) {
+  OracleFixture f = MakeOracleFixture();
+  ASSERT_GE(f.cells.size(), 20u);
+  std::vector<std::pair<const Partition*, const Partition*>> pairs;
+  for (size_t i = 0; i < f.cells.size(); ++i) {
+    for (size_t j = i + 1; j < f.cells.size(); ++j) {
+      pairs.emplace_back(&f.cells[i], &f.cells[j]);
+    }
+  }
+  for (const std::string& name : KnownDivergenceNames()) {
+    EvaluatorOptions options;
+    options.divergence = name;
+    UnfairnessEvaluator eval = f.Make(options);
+    EXPECT_EQ(eval.AveragePairwiseUnfairness(f.cells).value(),
+              NaiveMean(eval.divergence(), f.scores, pairs))
+        << name;
+  }
+}
+
+TEST(EvaluatorOracleTest, SiblingAveragesEqualNaiveLoopsForEveryDivergence) {
+  OracleFixture f = MakeOracleFixture();
+  const Partition& current = f.cells[0];
+  std::vector<Partition> siblings(f.cells.begin() + 1, f.cells.end());
+  // Children of the largest cell on a fourth attribute.
+  const Partition& parent = *std::max_element(
+      f.cells.begin(), f.cells.end(),
+      [](const Partition& a, const Partition& b) {
+        return a.size() < b.size();
+      });
+  std::vector<Partition> children = SplitPartition(
+      f.table, parent, f.table.schema().ProtectedIndices()[3]);
+  ASSERT_GE(children.size(), 2u);
+
+  std::vector<std::pair<const Partition*, const Partition*>> with_siblings;
+  for (const Partition& s : siblings) with_siblings.emplace_back(&current, &s);
+  std::vector<std::pair<const Partition*, const Partition*>> child_pairs;
+  for (size_t i = 0; i < children.size(); ++i) {
+    for (size_t j = i + 1; j < children.size(); ++j) {
+      child_pairs.emplace_back(&children[i], &children[j]);
+    }
+  }
+  for (const Partition& c : children) {
+    for (const Partition& s : siblings) child_pairs.emplace_back(&c, &s);
+  }
+  std::vector<std::pair<const Partition*, const Partition*>> all_pairs =
+      child_pairs;
+  for (size_t i = 0; i < siblings.size(); ++i) {
+    for (size_t j = i + 1; j < siblings.size(); ++j) {
+      all_pairs.emplace_back(&siblings[i], &siblings[j]);
+    }
+  }
+
+  for (const std::string& name : KnownDivergenceNames()) {
+    EvaluatorOptions options;
+    options.divergence = name;
+    UnfairnessEvaluator eval = f.Make(options);
+    const Divergence& divergence = eval.divergence();
+    EXPECT_EQ(eval.AverageWithSiblings(current, siblings).value(),
+              NaiveMean(divergence, f.scores, with_siblings))
+        << name;
+    EXPECT_EQ(eval.AverageChildrenWithSiblings(children, siblings).value(),
+              NaiveMean(divergence, f.scores, child_pairs))
+        << name;
+    EXPECT_EQ(eval.Distance(children[0], children[1]).value(),
+              NaiveMean(divergence, f.scores, {child_pairs.front()}))
+        << name;
+    options.sibling_comparison = SiblingComparison::kAllPairs;
+    UnfairnessEvaluator all_eval = f.Make(options);
+    EXPECT_EQ(all_eval.AverageChildrenWithSiblings(children, siblings).value(),
+              NaiveMean(divergence, f.scores, all_pairs))
+        << name;
+  }
+}
+
+TEST(EvaluatorOracleTest, ParallelPairLoopIsBitIdenticalToSerial) {
+  OracleFixture f = MakeOracleFixture();
+  for (const char* name : {"emd", "js"}) {
+    EvaluatorOptions options;
+    options.divergence = name;
+    UnfairnessEvaluator serial = f.Make(options);
+    options.num_threads = 4;
+    UnfairnessEvaluator parallel = f.Make(options);
+    EXPECT_EQ(serial.PairwiseDistances(f.cells).value(),
+              parallel.PairwiseDistances(f.cells).value())
+        << name;
+    EXPECT_EQ(serial.AveragePairwiseUnfairness(f.cells).value(),
+              parallel.AveragePairwiseUnfairness(f.cells).value())
+        << name;
+  }
+}
+
+TEST(EvaluatorOracleTest, EmptyPartitionFailsLikeTheDivergence) {
+  // The PMF fast path must not turn an empty histogram into NaN: the pair
+  // falls back to the divergence, which rejects it.
+  Table table = MakeToyTable().value();
+  UnfairnessEvaluator eval = MakeToyEvaluator(&table);
+  Partitioning p{MakeRootPartition(table.num_rows()), Partition()};
+  StatusOr<double> avg = eval.AveragePairwiseUnfairness(p);
+  ASSERT_FALSE(avg.ok());
+  EXPECT_EQ(avg.status().code(), StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -1,8 +1,14 @@
 #include "fairness/exhaustive.h"
 
+#include <cstdint>
+#include <utility>
+
 #include <gtest/gtest.h>
 
+#include "common/fault_injection.h"
+#include "fairness/beam.h"
 #include "fairness/registry.h"
+#include "fairness/splitter.h"
 #include "marketplace/generator.h"
 #include "marketplace/scoring.h"
 #include "marketplace/worker.h"
@@ -207,6 +213,290 @@ TEST(CountPartitioningsTest, GrowsExplosivelyWithAttributes) {
     previous = count;
   }
   EXPECT_EQ(previous, kCap);  // Four attributes already exceed 2M trees.
+}
+
+// ---------------------------------------------------------------------------
+// Oracle: the search's private memo must reproduce, bit for bit, a plain
+// enumeration that scores every complete partitioning with
+// AveragePairwiseUnfairness — same traversal, same strict-improvement rule.
+
+struct PlainSearch {
+  Partitioning best;
+  double best_avg = -1.0;
+  uint64_t evaluated = 0;
+  bool stopped = false;
+};
+
+/// Enumerates hierarchical partitionings in ExhaustiveAlgorithm's order,
+/// stopping once more than `max_evaluations` are reached.
+void PlainEnumerate(const UnfairnessEvaluator& eval,
+                    std::vector<std::pair<Partition, std::vector<size_t>>>*
+                        pending,
+                    Partitioning* leaves, uint64_t max_evaluations,
+                    PlainSearch* out) {
+  if (out->stopped) return;
+  if (pending->empty()) {
+    if (++out->evaluated > max_evaluations) {
+      out->stopped = true;
+      return;
+    }
+    double avg = eval.AveragePairwiseUnfairness(*leaves).value();
+    if (avg > out->best_avg) {
+      out->best_avg = avg;
+      out->best = *leaves;
+    }
+    return;
+  }
+  auto node = std::move(pending->back());
+  pending->pop_back();
+  leaves->push_back(node.first);
+  PlainEnumerate(eval, pending, leaves, max_evaluations, out);
+  leaves->pop_back();
+  for (size_t pos = 0; pos < node.second.size() && !out->stopped; ++pos) {
+    std::vector<Partition> children =
+        SplitPartition(eval.table(), node.first, node.second[pos]);
+    if (children.size() < 2) continue;
+    std::vector<size_t> remaining = node.second;
+    remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(pos));
+    const size_t old_size = pending->size();
+    for (Partition& child : children) {
+      pending->emplace_back(std::move(child), remaining);
+    }
+    PlainEnumerate(eval, pending, leaves, max_evaluations, out);
+    pending->resize(old_size);
+  }
+  pending->push_back(std::move(node));
+}
+
+PlainSearch RunPlain(const UnfairnessEvaluator& eval,
+                     const std::vector<size_t>& attrs,
+                     uint64_t max_evaluations) {
+  std::vector<std::pair<Partition, std::vector<size_t>>> pending;
+  pending.emplace_back(MakeRootPartition(eval.table().num_rows()), attrs);
+  Partitioning leaves;
+  PlainSearch out;
+  PlainEnumerate(eval, &pending, &leaves, max_evaluations, &out);
+  if (out.best.empty()) out.best = {MakeRootPartition(eval.table().num_rows())};
+  return out;
+}
+
+void ExpectSamePartitioning(const Partitioning& a, const Partitioning& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].rows, b[i].rows) << i;
+    EXPECT_EQ(a[i].path, b[i].path) << i;
+  }
+}
+
+Table OracleWorkers(size_t num_workers = 120) {
+  GeneratorOptions options;
+  options.num_workers = num_workers;
+  options.seed = 5;
+  return GenerateWorkers(options).value();
+}
+
+UnfairnessEvaluator OracleEvaluator(const Table& workers,
+                                    const std::string& divergence) {
+  EvaluatorOptions options;
+  options.divergence = divergence;
+  return UnfairnessEvaluator::Make(
+             &workers, MakeAlphaFunction("f1", 0.5)->ScoreAll(workers).value(),
+             options)
+      .value();
+}
+
+std::vector<size_t> FirstAttributes(const Table& workers, size_t n) {
+  std::vector<size_t> attrs = workers.schema().ProtectedIndices();
+  attrs.resize(n);
+  return attrs;
+}
+
+TEST(ExhaustiveOracleTest, MemoMatchesPlainEnumerationOnToyTable) {
+  Table table = MakeToyTable().value();
+  UnfairnessEvaluator eval =
+      UnfairnessEvaluator::Make(&table, ToyScores(table), EvaluatorOptions())
+          .value();
+  std::vector<size_t> attrs = table.schema().ProtectedIndices();
+  SearchResult result =
+      MakeExhaustiveAlgorithm()
+          ->Run(eval, attrs, ExecutionContext::Unbounded())
+          .value();
+  PlainSearch plain = RunPlain(eval, attrs, UINT64_MAX);
+  EXPECT_FALSE(result.truncated);
+  EXPECT_EQ(result.nodes_visited, plain.evaluated);
+  ExpectSamePartitioning(result.partitioning, plain.best);
+  EXPECT_EQ(eval.AveragePairwiseUnfairness(result.partitioning).value(),
+            plain.best_avg);
+}
+
+TEST(ExhaustiveOracleTest, MemoMatchesPlainEnumerationForEachDivergence) {
+  // 40 workers over three attributes: 12,857 partitionings.
+  Table workers = OracleWorkers(40);
+  const std::vector<size_t> attrs = FirstAttributes(workers, 3);
+  for (const char* name : {"emd", "kl", "js"}) {
+    UnfairnessEvaluator eval = OracleEvaluator(workers, name);
+    SearchResult result =
+        MakeExhaustiveAlgorithm()
+            ->Run(eval, attrs, ExecutionContext::Unbounded())
+            .value();
+    PlainSearch plain = RunPlain(eval, attrs, UINT64_MAX);
+    ASSERT_FALSE(result.truncated) << name;
+    EXPECT_EQ(result.nodes_visited, plain.evaluated) << name;
+    ExpectSamePartitioning(result.partitioning, plain.best);
+    EXPECT_EQ(eval.AveragePairwiseUnfairness(result.partitioning).value(),
+              plain.best_avg)
+        << name;
+  }
+}
+
+TEST(ExhaustiveOracleTest, MemoMatchesPlainEnumerationUnderNodeBudgets) {
+  Table workers = OracleWorkers();
+  UnfairnessEvaluator eval = OracleEvaluator(workers, "emd");
+  const std::vector<size_t> attrs = FirstAttributes(workers, 4);
+  for (uint64_t budget : {1ull, 7ull, 300ull, 2500ull}) {
+    PlainSearch plain = RunPlain(eval, attrs, budget);
+    ASSERT_TRUE(plain.stopped) << budget;
+
+    // The built-in budget, without the beam fallback.
+    ExhaustiveOptions ex;
+    ex.max_partitionings = budget;
+    ex.fallback_to_beam = false;
+    SearchResult result =
+        MakeExhaustiveAlgorithm(ex)
+            ->Run(eval, attrs, ExecutionContext::Unbounded())
+            .value();
+    EXPECT_EQ(result.reason, ExhaustionReason::kNodeBudget) << budget;
+    EXPECT_EQ(result.nodes_visited, budget + 1) << budget;
+    ExpectSamePartitioning(result.partitioning, plain.best);
+    EXPECT_EQ(eval.AveragePairwiseUnfairness(result.partitioning).value(),
+              plain.best_avg)
+        << budget;
+
+    // The context's --max-nodes budget trips at the same partitioning.
+    ResourceBudget nodes(budget, 0);
+    ExecutionContext context(Deadline(), CancellationToken(), &nodes);
+    ex.max_partitionings = UINT64_MAX;
+    SearchResult by_context =
+        MakeExhaustiveAlgorithm(ex)->Run(eval, attrs, context).value();
+    EXPECT_EQ(by_context.reason, ExhaustionReason::kNodeBudget) << budget;
+    ExpectSamePartitioning(by_context.partitioning, plain.best);
+
+    // With the fallback, the better of {best-so-far, beam} wins.
+    ex.max_partitionings = budget;
+    ex.fallback_to_beam = true;
+    SearchResult with_fallback =
+        MakeExhaustiveAlgorithm(ex)
+            ->Run(eval, attrs, ExecutionContext::Unbounded())
+            .value();
+    Partitioning beam = MakeBeamAlgorithm(ex.fallback_beam_width)
+                            ->Run(eval, attrs)
+                            .value();
+    const double beam_avg = eval.AveragePairwiseUnfairness(beam).value();
+    ExpectSamePartitioning(with_fallback.partitioning,
+                           beam_avg > plain.best_avg ? beam : plain.best);
+  }
+}
+
+TEST(ExhaustiveOracleTest, MemoMatchesPlainEnumerationUnderDeadlines) {
+  Table workers = OracleWorkers();
+  UnfairnessEvaluator eval = OracleEvaluator(workers, "emd");
+  const std::vector<size_t> attrs = FirstAttributes(workers, 4);
+  // Both deadlines fire at the first checkpoint, before any evaluation:
+  // the plain enumeration stopped at zero evaluations is the oracle.
+  PlainSearch plain = RunPlain(eval, attrs, 0);
+  ExhaustiveOptions ex;
+  ex.max_seconds = 1e-9;
+  SearchResult by_option =
+      MakeExhaustiveAlgorithm(ex)
+          ->Run(eval, attrs, ExecutionContext::Unbounded())
+          .value();
+  EXPECT_EQ(by_option.reason, ExhaustionReason::kDeadline);
+  ExpectSamePartitioning(by_option.partitioning, plain.best);
+
+  ExecutionContext expired(Deadline::AfterMillis(0), CancellationToken(),
+                           nullptr);
+  SearchResult by_context =
+      MakeExhaustiveAlgorithm()->Run(eval, attrs, expired).value();
+  EXPECT_EQ(by_context.reason, ExhaustionReason::kDeadline);
+  ExpectSamePartitioning(by_context.partitioning, plain.best);
+}
+
+TEST(ExhaustiveOracleTest, DivergenceFaultSurfacesAsErrorThroughTheMemo) {
+  Table workers = OracleWorkers();
+  UnfairnessEvaluator eval = OracleEvaluator(workers, "emd");
+  const std::vector<size_t> attrs = FirstAttributes(workers, 3);
+  // The first divergence, and one deep into the search after the memo has
+  // filled part of its matrix.
+  for (int64_t n : {1, 500}) {
+    fault::FaultPlan plan;
+    plan.fail_divergence_eval = n;
+    fault::ScopedFaultPlan scoped(plan);
+    StatusOr<SearchResult> result =
+        MakeExhaustiveAlgorithm()->Run(eval, attrs,
+                                       ExecutionContext::Unbounded());
+    ASSERT_FALSE(result.ok()) << n;
+    EXPECT_EQ(result.status().code(), StatusCode::kInternal) << n;
+    EXPECT_NE(result.status().message().find("fault injection"),
+              std::string::npos);
+  }
+}
+
+TEST(ExhaustiveOracleTest, DivergenceFaultSurfacesAsErrorThroughTheFastLoop) {
+  Table workers = OracleWorkers();
+  UnfairnessEvaluator eval = OracleEvaluator(workers, "emd");
+  Partitioning cells = {MakeRootPartition(workers.num_rows())};
+  for (size_t attr : FirstAttributes(workers, 2)) {
+    cells = SplitAll(workers, cells, attr);
+  }
+  std::vector<Partition> siblings(cells.begin() + 1, cells.end());
+  std::vector<Partition> children(cells.begin(), cells.begin() + 2);
+  for (int64_t n : {1, 3}) {
+    fault::FaultPlan plan;
+    plan.fail_divergence_eval = n;
+    fault::ScopedFaultPlan scoped(plan);
+    EXPECT_EQ(eval.AveragePairwiseUnfairness(cells).status().code(),
+              StatusCode::kInternal);
+    fault::Arm(plan);
+    EXPECT_EQ(eval.AverageWithSiblings(cells[0], siblings).status().code(),
+              StatusCode::kInternal);
+    fault::Arm(plan);
+    EXPECT_EQ(
+        eval.AverageChildrenWithSiblings(children, siblings).status().code(),
+        StatusCode::kInternal);
+  }
+  fault::FaultPlan first;
+  first.fail_divergence_eval = 1;
+  fault::ScopedFaultPlan scoped(first);
+  EXPECT_EQ(eval.Distance(cells[0], cells[1]).status().code(),
+            StatusCode::kInternal);
+  fault::Arm(first);
+  EXPECT_EQ(eval.Distance(eval.BuildHistogram(cells[0]),
+                          eval.BuildHistogram(cells[1]))
+                .status()
+                .code(),
+            StatusCode::kInternal);
+}
+
+TEST(ExhaustiveOracleTest, MemoGrowthIsChargedToTheMemoryBudget) {
+  // An allocation checkpoint failing inside the memo truncates the search
+  // gracefully with a valid partitioning, like any memory-budget trip.
+  Table workers = OracleWorkers();
+  UnfairnessEvaluator eval = OracleEvaluator(workers, "emd");
+  const std::vector<size_t> attrs = FirstAttributes(workers, 3);
+  for (int64_t n : {1, 10}) {
+    fault::FaultPlan plan;
+    plan.fail_alloc_checkpoint = n;
+    fault::ScopedFaultPlan scoped(plan);
+    ExhaustiveOptions ex;
+    ex.fallback_to_beam = false;
+    SearchResult result =
+        MakeExhaustiveAlgorithm(ex)
+            ->Run(eval, attrs, ExecutionContext::Unbounded())
+            .value();
+    EXPECT_TRUE(result.truncated) << n;
+    EXPECT_EQ(result.reason, ExhaustionReason::kMemoryBudget) << n;
+    EXPECT_TRUE(IsValidPartitioning(result.partitioning, workers.num_rows()));
+  }
 }
 
 }  // namespace

@@ -157,8 +157,7 @@ TEST(FaultInjectionTest, DivergenceFaultAbortsSiblingChunksEarly) {
   const size_t num_pairs = p.size() * (p.size() - 1) / 2;
   ASSERT_GE(num_pairs, 100u);
 
-  // A fresh evaluator, so every pair would actually be computed (the setup
-  // evaluator's cache already holds them all and cache hits skip the hook).
+  // A parallel evaluator, so the abort has sibling chunks to stop.
   EvaluatorOptions options;
   options.num_threads = 4;
   UnfairnessEvaluator eval =

@@ -72,8 +72,8 @@ TEST(ParseExecutionLimitsTest, RepeatedValidThenInvalidFails) {
 }
 
 TEST(AuditOptionsFromFlagsTest, RejectsOverflowInts) {
-  for (const char* flag : {"bins", "seed", "beam-width", "threads",
-                           "cache-mb"}) {
+  for (const char* flag :
+       {"bins", "seed", "beam-width", "threads", "max-nodes"}) {
     FlagParser flags = MustParse({{flag, "9223372036854775808"}});
     StatusOr<AuditOptions> options = AuditOptionsFromFlags(flags);
     ASSERT_FALSE(options.ok()) << flag;
@@ -83,7 +83,7 @@ TEST(AuditOptionsFromFlagsTest, RejectsOverflowInts) {
 
 TEST(AuditOptionsFromFlagsTest, RejectsEmptyNumericValues) {
   for (const char* flag : {"bins", "seed", "beam-width", "threads",
-                           "timeout-ms", "cache-mb"}) {
+                           "timeout-ms", "max-memory-mb"}) {
     FlagParser flags = MustParse({{flag, ""}});
     StatusOr<AuditOptions> options = AuditOptionsFromFlags(flags);
     ASSERT_FALSE(options.ok()) << flag;
@@ -91,19 +91,14 @@ TEST(AuditOptionsFromFlagsTest, RejectsEmptyNumericValues) {
   }
 }
 
-TEST(AuditOptionsFromFlagsTest, RejectsNegativeCacheMb) {
-  FlagParser flags = MustParse({{"cache-mb", "-1"}});
-  StatusOr<AuditOptions> options = AuditOptionsFromFlags(flags);
-  ASSERT_FALSE(options.ok());
-  EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(AuditOptionsFromFlagsTest, RejectsBadBooleans) {
-  for (const char* value : {"maybe", "2", ""}) {
-    FlagParser flags = MustParse({{"no-cache", value}});
-    StatusOr<AuditOptions> options = AuditOptionsFromFlags(flags);
-    ASSERT_FALSE(options.ok()) << "value '" << value << "'";
-    EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument);
+TEST(AuditOptionsFromFlagsTest, RemovedCacheFlagsAreUnknown) {
+  // Retired flags must fail validation rather than be silently accepted
+  // and ignored.
+  for (const char* flag : {"no-cache", "cache-mb"}) {
+    FlagParser flags = MustParse({{flag, "1"}});
+    Status known = ValidateKnownFlags(flags, AuditOptionFlagNames());
+    ASSERT_FALSE(known.ok()) << flag;
+    EXPECT_EQ(known.code(), StatusCode::kInvalidArgument) << flag;
   }
 }
 
@@ -130,8 +125,7 @@ TEST(AuditOptionsFromFlagsTest, FlagNamesCoverEveryConsumedFlag) {
   const std::vector<std::string>& names = AuditOptionFlagNames();
   for (const char* flag :
        {"algorithm", "bins", "divergence", "seed", "beam-width", "threads",
-        "attributes", "timeout-ms", "max-nodes", "max-memory-mb", "no-cache",
-        "cache-mb"}) {
+        "attributes", "timeout-ms", "max-nodes", "max-memory-mb"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), flag), names.end())
         << flag << " missing from AuditOptionFlagNames()";
   }

@@ -204,8 +204,7 @@ TEST(AuditSuiteTest, PerCellBudgetModeBoundsEachCell) {
 
 // The acceptance bar of the parallel scheduler: without budgets every
 // algorithm here is deterministic, so the grid must be bit-identical across
-// thread counts (shared column caches store exactly the values the uncached
-// path would compute).
+// thread counts.
 TEST(AuditSuiteTest, ParallelMatchesSerialBitIdentical) {
   Table workers = Workers(200);
   AuditSuite suite(&workers);
@@ -260,7 +259,6 @@ TEST(AuditSuiteTest, SummaryAndJsonReportTheGrid) {
   EXPECT_EQ(result.summary.total_nodes, nodes);
   EXPECT_GT(result.summary.wall_seconds, 0.0);
   EXPECT_EQ(result.summary.cells_failed, 0u);
-  ASSERT_EQ(result.column_cache.size(), 1u);
   std::string summary = FormatSuiteSummary(result);
   EXPECT_NE(summary.find("2 cells"), std::string::npos) << summary;
   std::string summary_csv = FormatSuiteSummaryCsv(result);
@@ -269,19 +267,6 @@ TEST(AuditSuiteTest, SummaryAndJsonReportTheGrid) {
   EXPECT_NE(json.find("\"summary\""), std::string::npos);
   EXPECT_NE(json.find("\"cells\""), std::string::npos);
   EXPECT_NE(json.find("\"total_nodes\""), std::string::npos);
-}
-
-// The suite owns per-column cache sharing; a caller-supplied shared cache
-// would be reused across score vectors, which is invalid by construction.
-TEST(AuditSuiteTest, RejectsCallerSharedCache) {
-  Table workers = Workers();
-  AuditSuite suite(&workers);
-  auto f1 = MakeAlphaFunction("f1", 0.5);
-  SuiteOptions options;
-  options.evaluator.shared_cache =
-      std::make_shared<EvaluatorCache>(true, 0);
-  EXPECT_EQ(suite.Run({f1.get()}, options).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(AuditSuiteTest, BiasedColumnDominatesRandomColumn) {

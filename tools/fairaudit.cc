@@ -7,13 +7,13 @@
 //                      [--algorithm balanced] [--bins 10] [--divergence emd]
 //                      [--attributes Gender,Country] [--json] [--histograms]
 //                      [--timeout-ms 5000] [--max-nodes 100000]
-//                      [--max-memory-mb 512] [--no-cache] [--cache-mb 256]
-//                      [--trace] [--aggregate] [--ingest-threads 8]
+//                      [--max-memory-mb 512] [--trace] [--aggregate]
+//                      [--ingest-threads 8]
 //   fairaudit suite    --input workers.csv
 //                      [--functions alpha:0.25,alpha:0.5,f6]
 //                      [--algorithms balanced,unbalanced] [--csv] [--json]
 //                      [--suite-threads 4] [--suite-budget total|per-cell]
-//                      [--no-share-cache] [+ the audit flags above]
+//                      [+ the audit flags above]
 //   fairaudit rank     --input workers.csv --function alpha:0.5 [--top 10]
 //   fairaudit exposure --input workers.csv --function alpha:0.5
 //                      [--bias log|reciprocal|topk] [--top 10]
@@ -50,13 +50,8 @@
 // `--functions` is comma-separated, so `weights:...` specs (which contain
 // commas) are not accepted there — use `audit` for those.
 //
-// The evaluator memoizes per-partition histograms and pairwise divergences
-// (see fairness/eval_cache.h); `--no-cache` disables the memoization and
-// `--cache-mb` caps its resident size. Results are bit-identical either way;
-// the report prints the hit/miss counters.
-//
 // `audit --trace` records spans through the pipeline (search, expand,
-// evaluate, histogram, emd, cache hits) and prints the span tree with
+// evaluate, histogram, emd) and prints the span tree with
 // per-name totals to stderr after the report — where the audit's time
 // actually went, without a profiler.
 //
@@ -363,9 +358,6 @@ int CmdSuite(const FlagParser& flags) {
     return Fail(
         Status::InvalidArgument("--suite-budget must be total|per-cell"));
   }
-  StatusOr<bool> no_share = flags.GetBool("no-share-cache", false);
-  if (!no_share.ok()) return Fail(no_share.status());
-  options.share_column_cache = !*no_share;
 
   AuditSuite suite(&workers.value());
   StatusOr<SuiteResult> result = suite.Run(functions, options);
@@ -705,7 +697,7 @@ StatusOr<std::vector<std::string>> KnownFlagsForCommand(
   } else if (command == "suite") {
     add_audit_flags();
     add({"input", "functions", "algorithms", "csv", "json", "suite-threads",
-         "suite-budget", "no-share-cache"});
+         "suite-budget"});
   } else if (command == "rank") {
     add({"input", "function", "top"});
   } else if (command == "exposure") {

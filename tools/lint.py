@@ -50,7 +50,10 @@ Tree rules (cross-file consistency):
                    KnownFlags, fairaudit's add({...}) lists, or
                    AuditOptionFlagNames), and every declared flag must be
                    documented in README.md — the CLI/HTTP surface stays
-                   fully validated and fully documented.
+                   fully validated and fully documented. Retired flags
+                   (the evaluator cache's --no-cache, --cache-mb,
+                   --no-share-cache) may be neither declared, mentioned
+                   by a tool, nor documented.
   bench-json-schema
                    Checked-in BENCH_*.json baselines parse as strict JSON
                    (no NaN/Infinity), carry a "bench" name, and known
@@ -295,6 +298,9 @@ class FlagSyncRule(Rule):
     DECLARATION = re.compile(
         r"(?:add\(\{|new std::vector<std::string>\{)(.*?)\}", re.S)
     DECLARATION_FILES = ("tools/", "src/fairness/option_flags.cc")
+    # Flags removed with the evaluator cache. Unknown flags fail validation,
+    # so any declaration or mention of these is stale.
+    RETIRED = ("no-cache", "cache-mb", "no-share-cache")
 
     def declared_flags(self, tree):
         declared = {}
@@ -337,6 +343,14 @@ class FlagSyncRule(Rule):
                     yield (path, line,
                            "--%s is accepted but undocumented: add it to "
                            "README.md" % name)
+        # Retired flags appear nowhere.
+        for name in self.RETIRED:
+            if name in declared:
+                path, line = declared[name]
+                yield (path, line, "--%s was retired; do not accept it" % name)
+            if name in documented:
+                yield ("README.md", line_of(readme, readme.find("--" + name)),
+                       "--%s was retired; do not document it" % name)
 
     _DECL = ('const std::vector<std::string>* v = '
              'new std::vector<std::string>{"input", "seed"};\n')
@@ -355,6 +369,12 @@ class FlagSyncRule(Rule):
           "README.md": "--top --out\n"}, 0),
         # Without a README nothing can be documented; only direction 1 runs.
         ({"tools/a.cc": _DECL}, 0),
+        # A retired flag, declared and documented: two findings.
+        ({"tools/b.cc": 'void f() { add({"input", "no-cache"}); }\n',
+          "README.md": "--input --no-cache\n"}, 2),
+        # A retired flag documented only: one finding.
+        ({"tools/a.cc": _DECL, "README.md": "--input --seed --cache-mb\n"},
+         1),
     )
 
 
