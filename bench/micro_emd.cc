@@ -1,11 +1,16 @@
 // Micro benchmarks: EMD implementations and the other divergences across
-// histogram resolutions. The closed-form 1-D EMD is what the partition
-// search calls in its inner loop; the transportation-solver EMD is the
-// general-ground-distance cross-check.
+// histogram resolutions. The closed-form 1-D EMD is what the evaluator's
+// pair loops call; the transportation-solver EMD is the
+// general-ground-distance cross-check. BM_AverageEmd compares the
+// evaluator's closed-form average pairwise EMD against averaging the pair
+// loop's distances, at Table 2's population size.
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
+#include "fairness/evaluator.h"
+#include "marketplace/generator.h"
+#include "marketplace/scoring.h"
 #include "stats/divergence.h"
 #include "stats/emd.h"
 #include "stats/histogram.h"
@@ -63,6 +68,50 @@ BENCHMARK_CAPTURE(BM_Divergence, kl, "kl");
 BENCHMARK_CAPTURE(BM_Divergence, tv, "tv");
 BENCHMARK_CAPTURE(BM_Divergence, ks, "ks");
 BENCHMARK_CAPTURE(BM_Divergence, hellinger, "hellinger");
+
+/// unfairness(P, f) over k partitions of 7300 generated workers (Table 2's
+/// population), dealt round-robin and scored by alpha:0.5: the closed form
+/// (AveragePairwiseUnfairness) or the mean of every pair's distance
+/// (PairwiseDistances).
+void BM_AverageEmd(benchmark::State& state, bool closed_form) {
+  const size_t k = static_cast<size_t>(state.range(0));
+  GeneratorOptions gen;
+  gen.num_workers = 7300;
+  gen.seed = 42;
+  const Table table = GenerateWorkers(gen).value();
+  UnfairnessEvaluator eval =
+      UnfairnessEvaluator::Make(
+          &table, MakeAlphaFunction("f1", 0.5)->ScoreAll(table).value(),
+          EvaluatorOptions())
+          .value();
+  Partitioning partitioning(k);
+  for (size_t row = 0; row < table.num_rows(); ++row) {
+    partitioning[row % k].rows.push_back(row);
+  }
+  for (auto _ : state) {
+    if (closed_form) {
+      benchmark::DoNotOptimize(
+          eval.AveragePairwiseUnfairness(partitioning).value());
+    } else {
+      std::vector<double> distances =
+          eval.PairwiseDistances(partitioning).value();
+      double sum = 0.0;
+      for (double d : distances) sum += d;
+      benchmark::DoNotOptimize(sum / static_cast<double>(distances.size()));
+    }
+  }
+  state.counters["pairs"] = static_cast<double>(k * (k - 1) / 2);
+}
+BENCHMARK_CAPTURE(BM_AverageEmd, closed_form, true)
+    ->Arg(64)
+    ->Arg(512)
+    ->Arg(1767)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_AverageEmd, pair_loop, false)
+    ->Arg(64)
+    ->Arg(512)
+    ->Arg(1767)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_GkSketchInsert(benchmark::State& state) {
   Rng rng(11);

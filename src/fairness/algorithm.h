@@ -41,7 +41,9 @@ class AttributeSelector {
 /// Greedy selector: tries every remaining attribute and returns the one
 /// whose split yields the highest average pairwise divergence (globally for
 /// SelectGlobal; children-vs-siblings for SelectLocal). Ties break toward
-/// the earliest position, keeping runs deterministic.
+/// the earliest position, keeping runs deterministic. SelectGlobal counts
+/// averages within 1e-12 relative of each other as ties, so the rounding of
+/// the closed-form "emd" average cannot flip a split.
 std::unique_ptr<AttributeSelector> MakeWorstAttributeSelector();
 
 /// Uniform-random selector for the r-* baselines. Deterministic given the

@@ -61,14 +61,16 @@ struct EvaluatorOptions {
   /// Divergence name resolved via MakeDivergenceByName; "emd" reproduces
   /// the paper.
   std::string divergence = "emd";
-  /// Worker threads for the pairwise-distance loops of
-  /// AveragePairwiseUnfairness. 1 = fully serial (default); results are
-  /// bit-identical across thread counts (per-pair sums are accumulated in
-  /// a deterministic order).
+  /// Worker threads for the pair loop of PairwiseDistances, which
+  /// TopDivergentPairs and the non-"emd" AveragePairwiseUnfairness run on.
+  /// The "emd" average is a serial closed form. 1 = fully serial (default);
+  /// results are bit-identical across thread counts (per-pair sums are
+  /// accumulated in a deterministic order).
   int num_threads = 1;
-  /// Deadline / cancellation honored inside AveragePairwiseUnfairness: the
-  /// pairwise loop stops between blocks once either fires and the call
-  /// returns DeadlineExceeded / Cancelled instead of finishing the range.
+  /// Deadline / cancellation honored by PairwiseDistances and
+  /// AveragePairwiseUnfairness: the pair loop stops between blocks once
+  /// either fires, and the "emd" closed form checks both once before it
+  /// runs; the call then returns DeadlineExceeded / Cancelled.
   /// Both are inert by default. Keep them inert on evaluators used for
   /// *reporting* — only the search evaluator should be interruptible.
   Deadline deadline;
@@ -91,14 +93,17 @@ struct EvaluatorOptions {
 /// Algorithm 2 needs.
 ///
 /// There is one evaluation path and it memoizes nothing: each public call
-/// builds the histograms it needs once, straight from rows, then runs its
-/// pair loop over them. For the paper's "emd" divergence the call also
-/// normalizes each histogram once, so the pair loop is Emd1DMass over
-/// precomputed PMFs with no allocation per pair; other divergences go
-/// through Divergence::Distance. Both give bit-identical values: the same
-/// counts[i] / total PMFs, the same Emd1DMass, the same summation order.
-/// Searches that revisit partitions (exhaustive) keep their own memo over
-/// BuildHistogram and the histogram overload of Distance.
+/// builds the histograms it needs once, straight from rows. For the paper's
+/// "emd" divergence, AveragePairwiseUnfairness then runs a closed form in
+/// O(B·k log k) (sorted CDF columns; see evaluator.cc), within 1e-14
+/// relative of an exact average, except when faults are armed or a
+/// partition is empty, where it runs the pair loop. Every other call runs a
+/// pair loop: for "emd" Emd1DMass over PMFs normalized once per call, with
+/// no allocation per pair; other divergences go through
+/// Divergence::Distance. The pair loops are bit-identical to each other:
+/// the same counts[i] / total PMFs, the same Emd1DMass, the same summation
+/// order. Searches that revisit partitions (exhaustive) keep their own memo
+/// over BuildHistogram and the histogram overload of Distance.
 ///
 /// Thread-compatible: logically const after construction; all accessors are
 /// const.
@@ -122,7 +127,9 @@ class UnfairnessEvaluator {
   StatusOr<double> Distance(const Histogram& a, const Histogram& b) const;
 
   /// unfairness(P, f): average pairwise divergence over all partition pairs.
-  /// A partitioning with fewer than two partitions has unfairness 0.
+  /// A partitioning with fewer than two partitions has unfairness 0. For
+  /// "emd" a closed form (no per-pair work, nothing added to the pairwise
+  /// computation counter); otherwise the mean of PairwiseDistances.
   StatusOr<double> AveragePairwiseUnfairness(
       const Partitioning& partitioning) const;
 
@@ -139,10 +146,9 @@ class UnfairnessEvaluator {
       const std::vector<Partition>& siblings) const;
 
   /// All pairwise divergences of `partitioning`, flattened in upper-triangle
-  /// order: pair (i, j), i < j, lands at the slot both
-  /// AveragePairwiseUnfairness and TopDivergentPairs read. Honors the
-  /// deadline/cancel options like AveragePairwiseUnfairness; fewer than two
-  /// partitions yields an empty vector.
+  /// order: pair (i, j), i < j, lands at a fixed slot, whatever the thread
+  /// count. Honors the deadline/cancel options; fewer than two partitions
+  /// yields an empty vector.
   StatusOr<std::vector<double>> PairwiseDistances(
       const Partitioning& partitioning) const;
 
@@ -182,8 +188,10 @@ class UnfairnessEvaluator {
   /// The score histogram of `part`, built from its rows.
   Histogram Build(const Partition& part) const;
 
-  /// Builds (and for "emd" normalizes) the histograms of `parts`, in order.
-  Prepared Prepare(const std::vector<const Partition*>& parts) const;
+  /// Builds the histograms of `parts`, in order; for "emd" with `normalize`
+  /// also their PMFs.
+  Prepared Prepare(const std::vector<const Partition*>& parts,
+                   bool normalize = true) const;
 
   /// Divergence of prepared histograms i and j, after the fault-injection
   /// hook. Does not bump the pipeline counter; callers count per call.
@@ -213,7 +221,7 @@ struct DivergentPair {
 /// The k partition pairs with the largest pairwise divergence, sorted
 /// descending (ties broken by pair order, deterministic). k larger than the
 /// number of pairs is clamped; a partitioning with < 2 partitions yields an
-/// empty list.
+/// empty list. Runs PairwiseDistances once and partially sorts its slots.
 StatusOr<std::vector<DivergentPair>> TopDivergentPairs(
     const UnfairnessEvaluator& eval, const Partitioning& partitioning,
     size_t k);

@@ -29,7 +29,9 @@ struct PendingNode {
 /// sorted split constraints: equal constraint sets select equal row sets,
 /// whatever the split order. The memo keeps one histogram per id and a
 /// lazily filled distance matrix indexed (first, second) in call order, so
-/// a memoized average is bit-identical to AveragePairwiseUnfairness.
+/// a memoized average is bit-identical to the mean of PairwiseDistances.
+/// (For "emd", AveragePairwiseUnfairness is a closed form that can differ
+/// from it in the last ~1e-12 relative.)
 class PartitionMemo {
  public:
   explicit PartitionMemo(const UnfairnessEvaluator& eval) : eval_(eval) {}

@@ -1,9 +1,12 @@
 #include "fairness/evaluator.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include <gtest/gtest.h>
 
+#include "common/fault_injection.h"
+#include "common/telemetry.h"
 #include "fairness/splitter.h"
 #include "marketplace/generator.h"
 #include "marketplace/scoring.h"
@@ -357,9 +360,14 @@ TEST(EvaluatorOracleTest, PairwiseAverageEqualsNaiveLoopForEveryDivergence) {
     EvaluatorOptions options;
     options.divergence = name;
     UnfairnessEvaluator eval = f.Make(options);
-    EXPECT_EQ(eval.AveragePairwiseUnfairness(f.cells).value(),
-              NaiveMean(eval.divergence(), f.scores, pairs))
-        << name;
+    const double average = eval.AveragePairwiseUnfairness(f.cells).value();
+    const double naive = NaiveMean(eval.divergence(), f.scores, pairs);
+    if (name == "emd") {
+      // The closed form: no longer the pair loop's summation order.
+      EXPECT_NEAR(average, naive, 4e-12 * naive) << name;
+    } else {
+      EXPECT_EQ(average, naive) << name;
+    }
   }
 }
 
@@ -444,6 +452,199 @@ TEST(EvaluatorOracleTest, EmptyPartitionFailsLikeTheDivergence) {
   StatusOr<double> avg = eval.AveragePairwiseUnfairness(p);
   ASSERT_FALSE(avg.ok());
   EXPECT_EQ(avg.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(TopDivergentPairsTest, TiesKeepPairOrder) {
+  // {A, B, A, B, A}: every A-B pair ties at one distance, every A-A and B-B
+  // pair at 0. The top pairs must come out as a stable sort of the pair
+  // loop's slots by distance puts them.
+  OracleFixture f = MakeOracleFixture();
+  Partitioning p{f.cells[0], f.cells[1], f.cells[0], f.cells[1], f.cells[0]};
+  UnfairnessEvaluator eval = f.Make(EvaluatorOptions());
+  std::vector<double> distances = eval.PairwiseDistances(p).value();
+  std::vector<DivergentPair> expected;
+  size_t m = 0;
+  for (size_t i = 0; i < p.size(); ++i) {
+    for (size_t j = i + 1; j < p.size(); ++j) {
+      expected.push_back({i, j, distances[m++]});
+    }
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const DivergentPair& a, const DivergentPair& b) {
+                     return a.distance > b.distance;
+                   });
+  ASSERT_GT(expected.front().distance, 0.0);
+  for (size_t k : {1, 3, 6, 7, 10, 100}) {
+    std::vector<DivergentPair> top = TopDivergentPairs(eval, p, k).value();
+    ASSERT_EQ(top.size(), std::min(k, expected.size())) << k;
+    for (size_t r = 0; r < top.size(); ++r) {
+      EXPECT_EQ(top[r].index_a, expected[r].index_a) << k << " " << r;
+      EXPECT_EQ(top[r].index_b, expected[r].index_b) << k << " " << r;
+      EXPECT_EQ(top[r].distance, expected[r].distance) << k << " " << r;
+    }
+  }
+  // The six A-B pairs tie for the top, in slot order.
+  std::vector<DivergentPair> top = TopDivergentPairs(eval, p, 6).value();
+  const std::vector<std::pair<size_t, size_t>> ab = {
+      {0, 1}, {0, 3}, {1, 2}, {1, 4}, {2, 3}, {3, 4}};
+  for (size_t r = 0; r < ab.size(); ++r) {
+    EXPECT_EQ(std::make_pair(top[r].index_a, top[r].index_b), ab[r]) << r;
+    EXPECT_EQ(top[r].distance, top[0].distance) << r;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The "emd" average is a closed form (sorted CDF columns), not a pair loop.
+// Its oracle is the O(k²) pair loop in extended precision.
+
+/// Long-double average pairwise EMD of `partitioning`: CDFs from row-built
+/// histograms, each pair's Σ|CDF_a − CDF_b| summed in long double, and the
+/// pairs added with compensated summation. A plain accumulator is not good
+/// enough here: at Table 2 scale the same few per-pair values repeat over
+/// 1.5M pairs, so its rounding errors add up (~3.5e-14 high at 100 bins).
+long double ExtendedPrecisionAverageEmd(const std::vector<double>& scores,
+                                        const Partitioning& partitioning,
+                                        int num_bins) {
+  const size_t k = partitioning.size();
+  const size_t bins = static_cast<size_t>(num_bins);
+  std::vector<long double> cdfs(k * bins);
+  for (size_t i = 0; i < k; ++i) {
+    Histogram h(num_bins, 0.0, 1.0);
+    for (size_t row : partitioning[i].rows) h.Add(scores[row]);
+    long double cumulative = 0.0L;
+    for (size_t b = 0; b < bins; ++b) {
+      cumulative += h.counts()[b];
+      cdfs[i * bins + b] = cumulative / static_cast<long double>(h.total());
+    }
+  }
+  long double sum = 0.0L;
+  long double compensation = 0.0L;
+  for (size_t i = 0; i < k; ++i) {
+    const long double* a = cdfs.data() + i * bins;
+    for (size_t j = i + 1; j < k; ++j) {
+      const long double* b = cdfs.data() + j * bins;
+      long double pair = 0.0L;
+      for (size_t bin = 0; bin < bins; ++bin) {
+        pair += std::fabs(a[bin] - b[bin]);
+      }
+      const long double y = pair - compensation;
+      const long double t = sum + y;
+      compensation = (t - sum) - y;
+      sum = t;
+    }
+  }
+  const long double num_pairs = static_cast<long double>(k * (k - 1) / 2);
+  return sum / static_cast<long double>(num_bins) / num_pairs;
+}
+
+TEST(EvaluatorClosedFormTest, MatchesExtendedPrecisionLoopAtTable2Scale) {
+  // Table 2's population: 7300 workers, every protected attribute split.
+  GeneratorOptions gen;
+  gen.num_workers = 7300;
+  gen.seed = 20190326;
+  Table table = GenerateWorkers(gen).value();
+  Partitioning cells{MakeRootPartition(table.num_rows())};
+  for (size_t attr : table.schema().ProtectedIndices()) {
+    cells = SplitAll(table, cells, attr);
+  }
+  ASSERT_GT(cells.size(), 1500u);
+  for (const auto& function : MakePaperRandomFunctions()) {
+    std::vector<double> scores = function->ScoreAll(table).value();
+    for (int num_bins : {10, 100}) {
+      EvaluatorOptions options;
+      options.num_bins = num_bins;
+      // Only the pair loop uses the threads; its sums are bit-identical to
+      // a serial run's.
+      options.num_threads = 4;
+      UnfairnessEvaluator eval =
+          UnfairnessEvaluator::Make(&table, scores, options).value();
+      const double closed = eval.AveragePairwiseUnfairness(cells).value();
+      const double oracle = static_cast<double>(
+          ExtendedPrecisionAverageEmd(scores, cells, num_bins));
+      EXPECT_NEAR(closed, oracle, 1e-14 * oracle)
+          << function->Name() << " bins=" << num_bins;
+      // The double pair loop sums 1.5M rounded distances; it is the less
+      // accurate of the two.
+      std::vector<double> distances = eval.PairwiseDistances(cells).value();
+      double loop = 0.0;
+      for (double d : distances) loop += d;
+      loop /= static_cast<double>(distances.size());
+      EXPECT_NEAR(closed, loop, 4e-12 * loop)
+          << function->Name() << " bins=" << num_bins;
+    }
+  }
+}
+
+TEST(EvaluatorClosedFormTest, TwoPartitionsEqualTheirDistance) {
+  OracleFixture f = MakeOracleFixture();
+  UnfairnessEvaluator eval = f.Make(EvaluatorOptions());
+  for (size_t i = 1; i < f.cells.size(); ++i) {
+    Partitioning p{f.cells[0], f.cells[i]};
+    EXPECT_NEAR(eval.AveragePairwiseUnfairness(p).value(),
+                eval.Distance(f.cells[0], f.cells[i]).value(), 1e-15)
+        << i;
+  }
+}
+
+TEST(EvaluatorClosedFormTest, IdenticalPartitionsGiveExactlyZero) {
+  OracleFixture f = MakeOracleFixture();
+  UnfairnessEvaluator eval = f.Make(EvaluatorOptions());
+  Partitioning p(5, f.cells[2]);
+  EXPECT_EQ(eval.AveragePairwiseUnfairness(p).value(), 0.0);
+}
+
+TEST(EvaluatorClosedFormTest, CountsHistogramsButNoPairs) {
+  // The pipeline counter keeps its meaning, "pairwise divergences
+  // computed": the closed form computes none.
+  OracleFixture f = MakeOracleFixture();
+  UnfairnessEvaluator eval = f.Make(EvaluatorOptions());
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  MetricCounter* pairs = registry.GetCounter(
+      "fairrank_pipeline_emd_computations_total",
+      "Pairwise divergences computed");
+  MetricCounter* builds = registry.GetCounter(
+      "fairrank_pipeline_histogram_builds_total",
+      "Per-partition score histograms built");
+  const uint64_t pairs_before = pairs->value();
+  const uint64_t builds_before = builds->value();
+  ASSERT_TRUE(eval.AveragePairwiseUnfairness(f.cells).ok());
+  EXPECT_EQ(pairs->value(), pairs_before);
+  EXPECT_EQ(builds->value(), builds_before + f.cells.size());
+}
+
+TEST(EvaluatorClosedFormTest, HonorsDeadlineAndCancellation) {
+  OracleFixture f = MakeOracleFixture();
+  EvaluatorOptions options;
+  options.deadline = Deadline::AfterMillis(0);
+  StatusOr<double> expired =
+      f.Make(options).AveragePairwiseUnfairness(f.cells);
+  EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
+
+  CancellationSource source;
+  source.RequestCancellation();
+  options = EvaluatorOptions();
+  options.cancel = source.token();
+  StatusOr<double> cancelled =
+      f.Make(options).AveragePairwiseUnfairness(f.cells);
+  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+}
+
+TEST(EvaluatorClosedFormTest, ArmedFaultsStillRunThePairLoop) {
+  OracleFixture f = MakeOracleFixture();
+  UnfairnessEvaluator eval = f.Make(EvaluatorOptions());
+  const size_t k = f.cells.size();
+  {
+    // Armed with no divergence fault: every pair is evaluated one by one.
+    fault::ScopedFaultPlan armed(fault::FaultPlan{});
+    ASSERT_TRUE(eval.AveragePairwiseUnfairness(f.cells).ok());
+    EXPECT_EQ(fault::divergence_evals_hit(), k * (k - 1) / 2);
+  }
+  fault::FaultPlan plan;
+  plan.fail_divergence_eval = 7;
+  fault::ScopedFaultPlan armed(plan);
+  StatusOr<double> avg = eval.AveragePairwiseUnfairness(f.cells);
+  ASSERT_FALSE(avg.ok());
+  EXPECT_EQ(avg.status().code(), StatusCode::kInternal);
 }
 
 }  // namespace

@@ -217,8 +217,20 @@ TEST(CountPartitioningsTest, GrowsExplosivelyWithAttributes) {
 
 // ---------------------------------------------------------------------------
 // Oracle: the search's private memo must reproduce, bit for bit, a plain
-// enumeration that scores every complete partitioning with
-// AveragePairwiseUnfairness — same traversal, same strict-improvement rule.
+// enumeration that scores every complete partitioning with the evaluator's
+// pair loop — same traversal, same strict-improvement rule.
+
+/// unfairness(P, f) summed the way the memo sums it: the mean of
+/// PairwiseDistances in slot order. (For "emd", AveragePairwiseUnfairness is
+/// a closed form whose last bits may differ.)
+double PairLoopMean(const UnfairnessEvaluator& eval,
+                    const Partitioning& partitioning) {
+  if (partitioning.size() < 2) return 0.0;
+  std::vector<double> distances = eval.PairwiseDistances(partitioning).value();
+  double sum = 0.0;
+  for (double d : distances) sum += d;
+  return sum / static_cast<double>(distances.size());
+}
 
 struct PlainSearch {
   Partitioning best;
@@ -240,7 +252,7 @@ void PlainEnumerate(const UnfairnessEvaluator& eval,
       out->stopped = true;
       return;
     }
-    double avg = eval.AveragePairwiseUnfairness(*leaves).value();
+    double avg = PairLoopMean(eval, *leaves);
     if (avg > out->best_avg) {
       out->best_avg = avg;
       out->best = *leaves;
@@ -325,8 +337,7 @@ TEST(ExhaustiveOracleTest, MemoMatchesPlainEnumerationOnToyTable) {
   EXPECT_FALSE(result.truncated);
   EXPECT_EQ(result.nodes_visited, plain.evaluated);
   ExpectSamePartitioning(result.partitioning, plain.best);
-  EXPECT_EQ(eval.AveragePairwiseUnfairness(result.partitioning).value(),
-            plain.best_avg);
+  EXPECT_EQ(PairLoopMean(eval, result.partitioning), plain.best_avg);
 }
 
 TEST(ExhaustiveOracleTest, MemoMatchesPlainEnumerationForEachDivergence) {
@@ -343,8 +354,7 @@ TEST(ExhaustiveOracleTest, MemoMatchesPlainEnumerationForEachDivergence) {
     ASSERT_FALSE(result.truncated) << name;
     EXPECT_EQ(result.nodes_visited, plain.evaluated) << name;
     ExpectSamePartitioning(result.partitioning, plain.best);
-    EXPECT_EQ(eval.AveragePairwiseUnfairness(result.partitioning).value(),
-              plain.best_avg)
+    EXPECT_EQ(PairLoopMean(eval, result.partitioning), plain.best_avg)
         << name;
   }
 }
@@ -368,8 +378,7 @@ TEST(ExhaustiveOracleTest, MemoMatchesPlainEnumerationUnderNodeBudgets) {
     EXPECT_EQ(result.reason, ExhaustionReason::kNodeBudget) << budget;
     EXPECT_EQ(result.nodes_visited, budget + 1) << budget;
     ExpectSamePartitioning(result.partitioning, plain.best);
-    EXPECT_EQ(eval.AveragePairwiseUnfairness(result.partitioning).value(),
-              plain.best_avg)
+    EXPECT_EQ(PairLoopMean(eval, result.partitioning), plain.best_avg)
         << budget;
 
     // The context's --max-nodes budget trips at the same partitioning.

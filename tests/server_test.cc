@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -365,7 +366,22 @@ TEST(ServerTest, OverloadShedsWith429) {
     }
   });
 
-  // Poll until the slow request is in flight, then fire the contender.
+  // Wait until the slow request holds the slot before any contender is
+  // sent: a contender that got there first would take the slot and shed the
+  // slow request instead. /stats is not an audit, so it is never shed.
+  bool slow_in_flight = false;
+  for (int attempt = 0; attempt < 1000 && !slow_in_flight; ++attempt) {
+    const std::string stats = Fetch(*running, "/stats").body;
+    slow_in_flight = stats.find("\"in_flight\":1") != std::string::npos;
+    if (!slow_in_flight) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  if (!slow_in_flight) {
+    slow.join();
+    FAIL() << "the slow audit never became in flight";
+  }
+
   bool shed_seen = false;
   for (int attempt = 0; attempt < 50 && !shed_seen; ++attempt) {
     HttpFetchResult contender =
