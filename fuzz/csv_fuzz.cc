@@ -13,6 +13,8 @@
 //     reproduces them exactly (',' delimiter — CsvEscape's contract).
 //   - ReadCsv against the paper worker schema is deterministic, errors
 //     within the documented vocabulary, and on success honors max_rows.
+//   - ReadCsv agrees with the row-at-a-time oracle (tests/csv_oracle.h):
+//     the same table, reals bit-equal, or the same Status code and message.
 
 #include "fuzz/fuzz_targets.h"
 
@@ -25,6 +27,7 @@
 #include "data/csv.h"
 #include "data/table.h"
 #include "marketplace/worker.h"
+#include "tests/csv_oracle.h"
 
 namespace fairrank::fuzz {
 
@@ -91,6 +94,10 @@ void FuzzCsv(const uint8_t* data, size_t size) {
       FUZZ_CHECK(table->num_rows() <= options.max_rows);
     }
   }
+  std::istringstream by_line(text);
+  FUZZ_CHECK(csv_oracle::OutcomeDifference(
+                 table, csv_oracle::ReadCsvByLine(by_line, schema.value(),
+                                                  options)) == "");
 }
 
 }  // namespace fairrank::fuzz

@@ -30,8 +30,10 @@ std::string Join(const std::vector<std::string>& parts, std::string_view delim) 
   return out;
 }
 
-std::string CsvEscape(std::string_view field) {
-  if (field.find_first_of(",\"\n\r") == std::string_view::npos) {
+std::string CsvEscape(std::string_view field, char delimiter) {
+  const char specials[] = {delimiter, '"', '\n', '\r'};
+  if (field.find_first_of(std::string_view(specials, sizeof(specials))) ==
+      std::string_view::npos) {
     return std::string(field);
   }
   std::string out;
@@ -45,15 +47,19 @@ std::string CsvEscape(std::string_view field) {
   return out;
 }
 
+namespace {
+
+/// The "C" locale's isspace: ' ', '\t', '\n', '\v', '\f', '\r'. Inline, so
+/// trimming a CSV field costs no call into the C library.
+bool IsAsciiSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+}  // namespace
+
 std::string_view Trim(std::string_view s) {
   size_t begin = 0;
-  while (begin < s.size() && std::isspace(static_cast<unsigned char>(s[begin]))) {
-    ++begin;
-  }
+  while (begin < s.size() && IsAsciiSpace(s[begin])) ++begin;
   size_t end = s.size();
-  while (end > begin && std::isspace(static_cast<unsigned char>(s[end - 1]))) {
-    --end;
-  }
+  while (end > begin && IsAsciiSpace(s[end - 1])) --end;
   return s.substr(begin, end - begin);
 }
 

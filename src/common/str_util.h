@@ -14,11 +14,12 @@ std::vector<std::string> Split(std::string_view input, char delim);
 /// Joins `parts` with `delim` between consecutive elements.
 std::string Join(const std::vector<std::string>& parts, std::string_view delim);
 
-/// RFC-4180 CSV field escaping: a field containing a comma, a double quote,
-/// or a line break is wrapped in double quotes with embedded quotes doubled;
-/// any other field passes through unchanged. Every emitted CSV field flows
-/// through this — unescaped algorithm/function/attribute names corrupt rows.
-std::string CsvEscape(std::string_view field);
+/// RFC-4180 CSV field escaping: a field containing `delimiter`, a double
+/// quote, or a line break is wrapped in double quotes with embedded quotes
+/// doubled; any other field passes through unchanged. Every emitted CSV
+/// field flows through this — unescaped algorithm/function/attribute names
+/// or category labels corrupt rows.
+std::string CsvEscape(std::string_view field, char delimiter = ',');
 
 /// Removes leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);

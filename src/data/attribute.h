@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -77,8 +78,10 @@ class AttributeSpec {
   /// categories, positive bucket count).
   Status Validate() const;
 
-  /// Categorical only: code of a category label, or NotFound.
-  StatusOr<int> CodeOf(const std::string& category) const;
+  /// Categorical only: code of a category label, or NotFound. Allocates
+  /// nothing on success, so the CSV reader resolves labels straight from its
+  /// read buffer.
+  StatusOr<int> CodeOf(std::string_view category) const;
 
   /// Maps a raw value to its group index in [0, num_groups()).
   /// For categorical attributes the value is the category code.

@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -32,9 +33,9 @@ struct CsvOptions {
 
 /// Parses one CSV record with RFC 4180 quoting (quoted fields may contain the
 /// delimiter; doubled quotes escape a quote). Fields longer than
-/// `max_field_bytes` (0 = unlimited) fail with ResourceExhausted. Exposed
-/// for testing.
-StatusOr<std::vector<std::string>> ParseCsvRecord(const std::string& line,
+/// `max_field_bytes` (0 = unlimited) fail with ResourceExhausted. ReadCsv
+/// parses every line containing a quote through this.
+StatusOr<std::vector<std::string>> ParseCsvRecord(std::string_view line,
                                                   char delimiter,
                                                   size_t max_field_bytes = 0);
 
@@ -46,6 +47,11 @@ StatusOr<std::vector<std::string>> ParseCsvRecord(const std::string& line,
 /// data row must have exactly as many fields as the header (first data row
 /// when there is no header) — ragged rows fail with InvalidArgument rather
 /// than silently truncating or misaligning columns.
+///
+/// Records are lines split on '\n' (a quoted field cannot span lines). The
+/// stream is read in 1 MiB blocks and each field is converted straight from
+/// the block into its column, with no allocation per row; only the current
+/// block (and any single longer line) is held in memory.
 StatusOr<Table> ReadCsv(std::istream& in, const Schema& schema,
                         const CsvOptions& options = CsvOptions());
 
@@ -54,8 +60,9 @@ StatusOr<Table> ReadCsvFile(const std::string& path, const Schema& schema,
                             const CsvOptions& options = CsvOptions());
 
 /// Writes `table` as CSV (header + one record per row); categorical cells
-/// are written as labels. Fields containing the delimiter, quotes or
-/// newlines are quoted.
+/// are written as labels, integers in decimal and reals as "%.4f" — the
+/// Table::CellToString text. Fields are escaped with CsvEscape under the
+/// configured delimiter.
 Status WriteCsv(std::ostream& out, const Table& table,
                 const CsvOptions& options = CsvOptions());
 

@@ -1,5 +1,6 @@
 #include "data/table.h"
 
+#include <cassert>
 #include <cmath>
 
 #include "common/str_util.h"
@@ -13,65 +14,87 @@ Table::Table(Schema schema) : schema_(std::move(schema)) {
   }
 }
 
-Status Table::ConvertCell(const Cell& cell, const AttributeSpec& spec,
-                          Cell* converted) const {
+namespace {
+
+/// Stores a real after the finiteness check both conversions share.
+Status ConvertReal(double value, const AttributeSpec& spec, Cell* converted) {
+  // NaN/inf would make bucketization undefined behaviour downstream.
+  if (!std::isfinite(value)) {
+    return Status::InvalidArgument("non-finite value for attribute '" +
+                                   spec.name() + "'");
+  }
+  *converted = value;
+  return Status::OK();
+}
+
+/// Validates and converts one cell.
+Status ConvertCell(const Cell& cell, const AttributeSpec& spec,
+                   Cell* converted) {
+  if (const std::string* text = std::get_if<std::string>(&cell)) {
+    return ConvertTextCell(*text, spec, converted);
+  }
   switch (spec.kind()) {
     case AttributeKind::kCategorical: {
-      int code = -1;
-      if (const std::string* label = std::get_if<std::string>(&cell)) {
-        FAIRRANK_ASSIGN_OR_RETURN(code, spec.CodeOf(*label));
-      } else if (const int64_t* v = std::get_if<int64_t>(&cell)) {
-        if (*v < 0 || *v >= spec.num_groups()) {
-          return Status::OutOfRange("code " + std::to_string(*v) +
-                                    " out of range for categorical '" +
-                                    spec.name() + "'");
-        }
-        code = static_cast<int>(*v);
-      } else {
+      const int64_t* v = std::get_if<int64_t>(&cell);
+      if (v == nullptr) {
         return Status::InvalidArgument(
             "real cell given for categorical attribute '" + spec.name() + "'");
       }
+      if (*v < 0 || *v >= spec.num_groups()) {
+        return Status::OutOfRange("code " + std::to_string(*v) +
+                                  " out of range for categorical '" +
+                                  spec.name() + "'");
+      }
+      *converted = *v;
+      return Status::OK();
+    }
+    case AttributeKind::kInteger: {
+      const int64_t* v = std::get_if<int64_t>(&cell);
+      if (v == nullptr) {
+        return Status::InvalidArgument(
+            "real cell given for integer attribute '" + spec.name() + "'");
+      }
+      *converted = *v;
+      return Status::OK();
+    }
+    case AttributeKind::kReal: {
+      if (const int64_t* v = std::get_if<int64_t>(&cell)) {
+        return ConvertReal(static_cast<double>(*v), spec, converted);
+      }
+      return ConvertReal(std::get<double>(cell), spec, converted);
+    }
+  }
+  return Status::Internal("unreachable attribute kind");
+}
+
+}  // namespace
+
+Status ConvertTextCell(std::string_view text, const AttributeSpec& spec,
+                       Cell* converted) {
+  switch (spec.kind()) {
+    case AttributeKind::kCategorical: {
+      FAIRRANK_ASSIGN_OR_RETURN(int code, spec.CodeOf(text));
       *converted = static_cast<int64_t>(code);
       return Status::OK();
     }
     case AttributeKind::kInteger: {
       int64_t value = 0;
-      if (const int64_t* v = std::get_if<int64_t>(&cell)) {
-        value = *v;
-      } else if (const std::string* s = std::get_if<std::string>(&cell)) {
-        if (!ParseInt64(*s, &value)) {
-          return Status::InvalidArgument("cannot parse '" + *s +
-                                         "' as integer for attribute '" +
-                                         spec.name() + "'");
-        }
-      } else {
-        return Status::InvalidArgument(
-            "real cell given for integer attribute '" + spec.name() + "'");
+      if (!ParseInt64(text, &value)) {
+        return Status::InvalidArgument("cannot parse '" + std::string(text) +
+                                       "' as integer for attribute '" +
+                                       spec.name() + "'");
       }
       *converted = value;
       return Status::OK();
     }
     case AttributeKind::kReal: {
       double value = 0.0;
-      if (const double* v = std::get_if<double>(&cell)) {
-        value = *v;
-      } else if (const int64_t* v = std::get_if<int64_t>(&cell)) {
-        value = static_cast<double>(*v);
-      } else {
-        const std::string& s = std::get<std::string>(cell);
-        if (!ParseDouble(s, &value)) {
-          return Status::InvalidArgument("cannot parse '" + s +
-                                         "' as real for attribute '" +
-                                         spec.name() + "'");
-        }
-      }
-      // NaN/inf would make bucketization undefined behaviour downstream.
-      if (!std::isfinite(value)) {
-        return Status::InvalidArgument("non-finite value for attribute '" +
+      if (!ParseDouble(text, &value)) {
+        return Status::InvalidArgument("cannot parse '" + std::string(text) +
+                                       "' as real for attribute '" +
                                        spec.name() + "'");
       }
-      *converted = value;
-      return Status::OK();
+      return ConvertReal(value, spec, converted);
     }
   }
   return Status::Internal("unreachable attribute kind");
@@ -90,8 +113,14 @@ Status Table::AppendRow(const std::vector<Cell>& cells) {
     FAIRRANK_RETURN_NOT_OK(
         ConvertCell(cells[i], schema_.attribute(i), &converted[i]));
   }
+  AppendConverted(converted);
+  return Status::OK();
+}
+
+void Table::AppendConverted(const std::vector<Cell>& converted) {
+  assert(converted.size() == columns_.size());
   for (size_t i = 0; i < converted.size(); ++i) {
-    switch (schema_.attribute(i).kind()) {
+    switch (columns_[i].kind()) {
       case AttributeKind::kCategorical:
         columns_[i].AppendCode(
             static_cast<int32_t>(std::get<int64_t>(converted[i])));
@@ -105,7 +134,6 @@ Status Table::AppendRow(const std::vector<Cell>& cells) {
     }
   }
   ++num_rows_;
-  return Status::OK();
 }
 
 void Table::Reserve(size_t n) {

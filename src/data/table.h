@@ -2,6 +2,7 @@
 #define FAIRRANK_DATA_TABLE_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -9,6 +10,14 @@
 #include "data/schema.h"
 
 namespace fairrank {
+
+/// Converts one text field to `spec`'s kind: a category label to its code,
+/// an integer, or a finite real, all stored as the Table::AppendConverted
+/// entry point expects. `text` is used as given (callers trim). This is the
+/// one text conversion behind both AppendRow's string cells and the CSV
+/// reader, so both fail with the same codes and messages.
+Status ConvertTextCell(std::string_view text, const AttributeSpec& spec,
+                       Cell* converted);
 
 /// In-memory columnar table: a Schema plus one Column per attribute. This is
 /// the dataset abstraction every other module works against — the worker
@@ -34,6 +43,12 @@ class Table {
   /// table is left unchanged.
   Status AppendRow(const std::vector<Cell>& cells);
 
+  /// Appends one row of already-validated values, one per schema attribute:
+  /// an in-range int64 code for a categorical attribute, an int64 for an
+  /// integer one and a finite double for a real one — what ConvertTextCell
+  /// produces. AppendRow validates into this form and then calls it.
+  void AppendConverted(const std::vector<Cell>& converted);
+
   /// Reserves storage for `n` rows in every column.
   void Reserve(size_t n);
 
@@ -50,10 +65,6 @@ class Table {
   std::string CellToString(size_t row, size_t attr_index) const;
 
  private:
-  /// Validates and converts one cell; does not mutate the table.
-  Status ConvertCell(const Cell& cell, const AttributeSpec& spec,
-                     Cell* converted) const;
-
   Schema schema_;
   std::vector<Column> columns_;
   size_t num_rows_ = 0;

@@ -1,6 +1,7 @@
 #include "fairness/significance.h"
 
-#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "stats/descriptive.h"
@@ -20,31 +21,17 @@ Status CheckInputs(const UnfairnessEvaluator& eval,
   return Status::OK();
 }
 
-/// Average pairwise divergence over histograms built from `scores` under
-/// the evaluator's bin configuration.
+/// unfairness(P, f) under `scores` instead of the evaluator's own: an
+/// evaluator over the same table and options, so the null draws use the
+/// same evaluation path (for "emd" the closed form) as `observed`.
 StatusOr<double> UnfairnessWithScores(const UnfairnessEvaluator& eval,
                                       const Partitioning& partitioning,
-                                      const std::vector<double>& scores) {
-  if (partitioning.size() < 2) return 0.0;
-  std::vector<Histogram> hists;
-  hists.reserve(partitioning.size());
-  for (const Partition& p : partitioning) {
-    Histogram h(eval.options().num_bins, eval.options().score_lo,
-                eval.options().score_hi);
-    for (size_t row : p.rows) h.Add(scores[row]);
-    hists.push_back(std::move(h));
-  }
-  double sum = 0.0;
-  size_t pairs = 0;
-  for (size_t i = 0; i < hists.size(); ++i) {
-    for (size_t j = i + 1; j < hists.size(); ++j) {
-      FAIRRANK_ASSIGN_OR_RETURN(
-          double d, eval.divergence().Distance(hists[i], hists[j]));
-      sum += d;
-      ++pairs;
-    }
-  }
-  return sum / static_cast<double>(pairs);
+                                      std::vector<double> scores) {
+  FAIRRANK_ASSIGN_OR_RETURN(
+      UnfairnessEvaluator resampled,
+      UnfairnessEvaluator::Make(&eval.table(), std::move(scores),
+                                eval.options()));
+  return resampled.AveragePairwiseUnfairness(partitioning);
 }
 
 }  // namespace
@@ -75,7 +62,8 @@ StatusOr<BootstrapResult> BootstrapUnfairness(const UnfairnessEvaluator& eval,
       }
     }
     FAIRRANK_ASSIGN_OR_RETURN(
-        double u, UnfairnessWithScores(eval, partitioning, resampled));
+        double u,
+        UnfairnessWithScores(eval, partitioning, std::move(resampled)));
     samples.push_back(u);
   }
   FAIRRANK_ASSIGN_OR_RETURN(result.mean, Mean(samples));

@@ -131,6 +131,31 @@ TEST(BootstrapTest, WiderIntervalForSmallerSample) {
   EXPECT_LT(width_large, width_small);
 }
 
+TEST(BootstrapTest, IdentityResamplesReproduceObservedExactly) {
+  // With one worker per partition every resample is the original sample,
+  // and the null runs the same evaluation path as `observed` (for "emd"
+  // the closed form), so every draw equals it bit for bit.
+  auto f1 = MakeAlphaFunction("f1", 0.5);
+  GeneratorOptions gen;
+  gen.num_workers = 60;
+  gen.seed = 15;
+  Table workers = GenerateWorkers(gen).value();
+  std::vector<double> scores = f1->ScoreAll(workers).value();
+  UnfairnessEvaluator eval =
+      UnfairnessEvaluator::Make(&workers, scores, EvaluatorOptions()).value();
+  Partitioning singletons(workers.num_rows());
+  for (size_t row = 0; row < workers.num_rows(); ++row) {
+    singletons[row].rows = {row};
+  }
+  // One draw, so the mean and both quantiles are that draw, unrounded.
+  auto result = BootstrapUnfairness(eval, singletons, 1, 4);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result->observed, 0.0);
+  EXPECT_EQ(result->mean, result->observed);
+  EXPECT_EQ(result->ci_lo, result->observed);
+  EXPECT_EQ(result->ci_hi, result->observed);
+}
+
 TEST(BootstrapTest, InvalidInputsFail) {
   auto f6 = MakeF6(3);
   Audited a = Audit(*f6, 100);

@@ -41,6 +41,13 @@ TEST(TrimTest, RemovesSurroundingWhitespace) {
   EXPECT_EQ(Trim(""), "");
 }
 
+TEST(TrimTest, TrimsExactlyTheAsciiSpaces) {
+  EXPECT_EQ(Trim("\v\f x y\t\r\n"), "x y");
+  // Bytes outside ASCII are never whitespace, whatever the locale.
+  EXPECT_EQ(Trim("\xA0x\xA0"), "\xA0x\xA0");
+  EXPECT_EQ(Trim(std::string_view("\0x\0", 3)), std::string_view("\0x\0", 3));
+}
+
 TEST(StartsWithTest, Basics) {
   EXPECT_TRUE(StartsWith("foobar", "foo"));
   EXPECT_TRUE(StartsWith("foo", ""));
@@ -94,6 +101,14 @@ TEST(CsvEscapeTest, PassesPlainFieldsThrough) {
   EXPECT_EQ(CsvEscape(""), "");
   EXPECT_EQ(CsvEscape("with space"), "with space");
   EXPECT_EQ(CsvEscape("pipe|join"), "pipe|join");
+}
+
+TEST(CsvEscapeTest, QuotesTheGivenDelimiterOnly) {
+  EXPECT_EQ(CsvEscape("a;b", ';'), "\"a;b\"");
+  EXPECT_EQ(CsvEscape("a,b", ';'), "a,b");
+  EXPECT_EQ(CsvEscape("-1.5", '.'), "\"-1.5\"");
+  EXPECT_EQ(CsvEscape("say \"hi\"", ';'), "\"say \"\"hi\"\"\"");
+  EXPECT_EQ(CsvEscape("line\nbreak", '\t'), "\"line\nbreak\"");
 }
 
 TEST(CsvEscapeTest, QuotesRfc4180Metacharacters) {
