@@ -98,6 +98,13 @@ void TraceContext::AddEvent(const char* name, int64_t parent,
   total->total_ns += duration_ns;
 }
 
+void TraceContext::AddCappedSpan(const char* name, uint64_t duration_ns) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  NamedTotal* total = TotalFor(name);
+  ++total->count;
+  total->total_ns += duration_ns;
+}
+
 TraceContext::NamedTotal* TraceContext::TotalFor(const char* name) {
   for (NamedTotal& total : totals_) {
     if (std::strcmp(total.name.c_str(), name) == 0) return &total;

@@ -27,7 +27,9 @@ uint64_t TraceNowNanos();
 ///
 /// Storage is bounded: at most `max_spans` spans are kept; later spans are
 /// counted as dropped but their durations still feed the per-name totals
-/// (AddEvent) so hot-path aggregates stay exact past the cap.
+/// (AddEvent and ScopedSpan) so hot-path aggregates stay exact past the cap.
+/// A span opened with a bare StartSpan past the cap has no id to close, so
+/// it is counted as dropped and nowhere else.
 class TraceContext {
  public:
   /// One named span. `parent` is the id of the enclosing span (-1 = root).
@@ -65,6 +67,7 @@ class TraceContext {
 
   /// Opens a span; returns its id, or -1 when not recording (unsampled or
   /// span cap reached). `name` must outlive the context (string literals).
+  /// Prefer ScopedSpan, whose spans past the cap still reach the totals.
   int64_t StartSpan(const char* name, int64_t parent = -1)
       FAIRRANK_EXCLUDES(mutex_);
 
@@ -100,6 +103,14 @@ class TraceContext {
   const bool sampled_;
   const size_t max_spans_;
   std::string trace_id_;
+
+  friend class ScopedSpan;
+
+  /// Folds a span StartSpan refused past the cap (already counted as
+  /// dropped) into the per-name totals.
+  void AddCappedSpan(const char* name, uint64_t duration_ns)
+      FAIRRANK_EXCLUDES(mutex_);
+
   /// Totals entry for `name`, created on first use. The pipeline uses under
   /// a dozen distinct span names, so a linear strcmp scan beats a map — and
   /// unlike a string-keyed map it never allocates on the per-EMD hot path.
@@ -112,14 +123,23 @@ class TraceContext {
 };
 
 /// RAII span: opens on construction (no-op when `trace` is null), closes on
-/// destruction. `id()` is the parent handle for child spans.
+/// destruction. `id()` is the parent handle for child spans (-1 past the
+/// span cap, whose spans are timed here and still reach the totals).
 class ScopedSpan {
  public:
   ScopedSpan(TraceContext* trace, const char* name, int64_t parent = -1)
       : trace_(trace),
-        id_(trace != nullptr ? trace->StartSpan(name, parent) : -1) {}
+        name_(name),
+        id_(trace != nullptr ? trace->StartSpan(name, parent) : -1),
+        capped_(id_ < 0 && trace != nullptr && trace->sampled()),
+        capped_start_ns_(capped_ ? TraceNowNanos() : 0) {}
   ~ScopedSpan() {
-    if (trace_ != nullptr) trace_->EndSpan(id_);
+    if (trace_ == nullptr) return;
+    if (capped_) {
+      trace_->AddCappedSpan(name_, TraceNowNanos() - capped_start_ns_);
+    } else {
+      trace_->EndSpan(id_);
+    }
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -128,7 +148,10 @@ class ScopedSpan {
 
  private:
   TraceContext* trace_;
+  const char* name_;
   int64_t id_;
+  bool capped_;
+  uint64_t capped_start_ns_;
 };
 
 /// Process-unique request id ("req-<boot-hex>-<serial>"): printable, short,

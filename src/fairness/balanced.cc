@@ -39,13 +39,11 @@ class BalancedAlgorithm : public PartitioningAlgorithm {
       }
       result.nodes_visited += attrs.size();
 
-      int64_t expand_span = -1;
-      if (context.trace() != nullptr) {
-        expand_span =
-            context.trace()->StartSpan("expand", context.trace_parent());
-      }
-      StatusOr<size_t> pos = selector_->SelectGlobal(eval, current, attrs);
-      if (context.trace() != nullptr) context.trace()->EndSpan(expand_span);
+      StatusOr<size_t> pos = [&] {
+        ScopedSpan expand_span(context.trace(), "expand",
+                               context.trace_parent());
+        return selector_->SelectGlobal(eval, current, attrs);
+      }();
       if (!pos.ok()) return DegradeOnExhaustion(std::move(result),
                                                 pos.status());
       size_t attr = attrs[*pos];

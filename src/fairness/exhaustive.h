@@ -46,8 +46,9 @@ std::unique_ptr<PartitioningAlgorithm> MakeExhaustiveAlgorithm(
     const ExhaustiveOptions& options = ExhaustiveOptions());
 
 /// Counts the number of hierarchical partitionings of `eval`'s table over
-/// `attrs` without evaluating them, stopping (and returning `cap`) once the
-/// count exceeds `cap`. Used by the blow-up bench.
+/// `attrs` without evaluating them (no histogram, no divergence): a product
+/// rule over the search's split cache, returning `cap` once the count
+/// reaches it. Used by the blow-up bench.
 uint64_t CountHierarchicalPartitionings(const UnfairnessEvaluator& eval,
                                         std::vector<size_t> attrs,
                                         uint64_t cap);

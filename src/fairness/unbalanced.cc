@@ -32,14 +32,10 @@ class UnbalancedAlgorithm : public PartitioningAlgorithm {
       return TruncatedResult(std::move(result), why);
     }
     result.nodes_visited += attrs.size();
-    int64_t expand_span = -1;
-    if (context.trace() != nullptr) {
-      expand_span =
-          context.trace()->StartSpan("expand", context.trace_parent());
-    }
-    StatusOr<size_t> pos =
-        selector_->SelectGlobal(eval, result.partitioning, attrs);
-    if (context.trace() != nullptr) context.trace()->EndSpan(expand_span);
+    StatusOr<size_t> pos = [&] {
+      ScopedSpan expand_span(context.trace(), "expand", context.trace_parent());
+      return selector_->SelectGlobal(eval, result.partitioning, attrs);
+    }();
     if (!pos.ok()) return DegradeOnExhaustion(std::move(result), pos.status());
     size_t attr = attrs[*pos];
     attrs.erase(attrs.begin() + static_cast<ptrdiff_t>(*pos));
@@ -112,28 +108,26 @@ class UnbalancedAlgorithm : public PartitioningAlgorithm {
     state->result->nodes_visited += attrs.size();
     TraceContext* trace = state->context->trace();
     const int64_t trace_parent = state->context->trace_parent();
-    int64_t eval_span =
-        trace != nullptr ? trace->StartSpan("evaluate", trace_parent) : -1;
-    StatusOr<double> current_avg = eval.AverageWithSiblings(current, siblings);
-    if (trace != nullptr) trace->EndSpan(eval_span);
+    StatusOr<double> current_avg = [&] {
+      ScopedSpan eval_span(trace, "evaluate", trace_parent);
+      return eval.AverageWithSiblings(current, siblings);
+    }();
     if (!current_avg.ok()) {
       return CloseOrFail(current_avg.status(), current, state, output);
     }
-    int64_t expand_span =
-        trace != nullptr ? trace->StartSpan("expand", trace_parent) : -1;
-    StatusOr<size_t> pos =
-        selector_->SelectLocal(eval, current, siblings, attrs);
-    if (trace != nullptr) trace->EndSpan(expand_span);
+    StatusOr<size_t> pos = [&] {
+      ScopedSpan expand_span(trace, "expand", trace_parent);
+      return selector_->SelectLocal(eval, current, siblings, attrs);
+    }();
     if (!pos.ok()) return CloseOrFail(pos.status(), current, state, output);
     size_t attr = attrs[*pos];
     attrs.erase(attrs.begin() + static_cast<ptrdiff_t>(*pos));
     std::vector<Partition> children =
         SplitPartition(eval.table(), current, attr);
-    int64_t children_span =
-        trace != nullptr ? trace->StartSpan("evaluate", trace_parent) : -1;
-    StatusOr<double> children_avg =
-        eval.AverageChildrenWithSiblings(children, siblings);
-    if (trace != nullptr) trace->EndSpan(children_span);
+    StatusOr<double> children_avg = [&] {
+      ScopedSpan children_span(trace, "evaluate", trace_parent);
+      return eval.AverageChildrenWithSiblings(children, siblings);
+    }();
     if (!children_avg.ok()) {
       return CloseOrFail(children_avg.status(), current, state, output);
     }

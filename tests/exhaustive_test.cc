@@ -1,11 +1,16 @@
 #include "fairness/exhaustive.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <set>
 #include <utility>
 
 #include <gtest/gtest.h>
 
 #include "common/fault_injection.h"
+#include "common/telemetry.h"
+#include "common/trace.h"
 #include "fairness/beam.h"
 #include "fairness/registry.h"
 #include "fairness/splitter.h"
@@ -15,6 +20,24 @@
 
 namespace fairrank {
 namespace {
+
+/// The evaluator's always-on pipeline counters: histograms built and
+/// pairwise divergences computed.
+struct PipelineCounts {
+  uint64_t builds = 0;
+  uint64_t evals = 0;
+};
+
+PipelineCounts ReadPipelineCounts() {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  MetricCounter* builds = registry.GetCounter(
+      "fairrank_pipeline_histogram_builds_total",
+      "Per-partition score histograms built");
+  MetricCounter* evals = registry.GetCounter(
+      "fairrank_pipeline_emd_computations_total",
+      "Pairwise divergences computed");
+  return {builds->value(), evals->value()};
+}
 
 std::vector<double> ToyScores(const Table& table) {
   size_t score_col = table.schema().FindIndex("Score").value();
@@ -206,6 +229,7 @@ TEST(CountPartitioningsTest, GrowsExplosivelyWithAttributes) {
   std::vector<size_t> all = workers.schema().ProtectedIndices();
   uint64_t previous = 0;
   const uint64_t kCap = 2'000'000;
+  const PipelineCounts before = ReadPipelineCounts();
   for (size_t k = 1; k <= 4; ++k) {
     std::vector<size_t> attrs(all.begin(), all.begin() + k);
     uint64_t count = CountHierarchicalPartitionings(eval, attrs, kCap);
@@ -213,6 +237,10 @@ TEST(CountPartitioningsTest, GrowsExplosivelyWithAttributes) {
     previous = count;
   }
   EXPECT_EQ(previous, kCap);  // Four attributes already exceed 2M trees.
+  // Counting walks the split tree only: no histogram, no divergence.
+  const PipelineCounts after = ReadPipelineCounts();
+  EXPECT_EQ(after.builds, before.builds);
+  EXPECT_EQ(after.evals, before.evals);
 }
 
 // ---------------------------------------------------------------------------
@@ -428,6 +456,168 @@ TEST(ExhaustiveOracleTest, MemoMatchesPlainEnumerationUnderDeadlines) {
       MakeExhaustiveAlgorithm()->Run(eval, attrs, expired).value();
   EXPECT_EQ(by_context.reason, ExhaustionReason::kDeadline);
   ExpectSamePartitioning(by_context.partitioning, plain.best);
+}
+
+/// unfairness(P, f) summed in column order, Σ_j Σ_{i<j} d(i, j): the order
+/// of the search's incremental sum.
+double ColumnOrderMean(const UnfairnessEvaluator& eval,
+                       const Partitioning& partitioning) {
+  const size_t k = partitioning.size();
+  if (k < 2) return 0.0;
+  std::vector<double> distances = eval.PairwiseDistances(partitioning).value();
+  double sum = 0.0;
+  for (size_t j = 1; j < k; ++j) {
+    for (size_t i = 0; i < j; ++i) {
+      sum += distances[i * k - i * (i + 1) / 2 + (j - i - 1)];
+    }
+  }
+  return sum / static_cast<double>(distances.size());
+}
+
+TEST(ExhaustiveOracleTest, NearTieIsDecidedOnTheCanonicalSum) {
+  // 20 workers over Country, YearOfBirth and Language: several complete
+  // partitionings average 0.21 up to rounding. The oracle's winner sums to
+  // 0.21000000000000005 in row order but 0.20999999999999999 in column
+  // order, the search's incremental order; a competitor reads
+  // 0.21000000000000002 and 0.21000000000000008. Comparing incremental
+  // means alone, or screening them without the rounding bound, keeps a
+  // different partitioning.
+  GeneratorOptions options;
+  options.num_workers = 20;
+  options.seed = 28;
+  Table workers = GenerateWorkers(options).value();
+  UnfairnessEvaluator eval = OracleEvaluator(workers, "emd");
+  const std::vector<size_t> all = workers.schema().ProtectedIndices();
+  ASSERT_GE(all.size(), 6u);
+  const std::vector<size_t> attrs(all.begin() + 1, all.begin() + 4);
+  SearchResult result =
+      MakeExhaustiveAlgorithm()
+          ->Run(eval, attrs, ExecutionContext::Unbounded())
+          .value();
+  PlainSearch plain = RunPlain(eval, attrs, UINT64_MAX);
+  // The data still holds a last-bit split between the two sums.
+  ASSERT_NE(ColumnOrderMean(eval, plain.best), plain.best_avg);
+  EXPECT_EQ(result.nodes_visited, plain.evaluated);
+  ExpectSamePartitioning(result.partitioning, plain.best);
+  EXPECT_EQ(PairLoopMean(eval, result.partitioning), plain.best_avg);
+}
+
+/// Every constraint set (sorted split constraints, the key of a row set)
+/// and every ordered leaf pair (i < j) that the complete partitionings of
+/// ExhaustiveAlgorithm's space touch; sets are numbered in `ids`.
+struct Touched {
+  std::map<std::vector<std::pair<size_t, int>>, size_t> ids;
+  std::set<size_t> sets;
+  std::set<std::pair<size_t, size_t>> pairs;
+
+  size_t IdOf(const Partition& partition) {
+    std::vector<std::pair<size_t, int>> key;
+    for (const SplitStep& step : partition.path) {
+      key.emplace_back(step.attr_index, step.group_index);
+    }
+    std::sort(key.begin(), key.end());
+    return ids.emplace(std::move(key), ids.size()).first->second;
+  }
+};
+
+void CollectTouched(const Table& table,
+                    std::vector<std::pair<Partition, std::vector<size_t>>>*
+                        pending,
+                    std::vector<size_t>* leaves, Touched* out) {
+  if (pending->empty()) {
+    for (size_t j = 0; j < leaves->size(); ++j) {
+      out->sets.insert((*leaves)[j]);
+      for (size_t i = 0; i < j; ++i) {
+        out->pairs.emplace((*leaves)[i], (*leaves)[j]);
+      }
+    }
+    return;
+  }
+  auto node = std::move(pending->back());
+  pending->pop_back();
+  leaves->push_back(out->IdOf(node.first));
+  CollectTouched(table, pending, leaves, out);
+  leaves->pop_back();
+  for (size_t pos = 0; pos < node.second.size(); ++pos) {
+    std::vector<Partition> children =
+        SplitPartition(table, node.first, node.second[pos]);
+    if (children.size() < 2) continue;
+    std::vector<size_t> remaining = node.second;
+    remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(pos));
+    const size_t old_size = pending->size();
+    for (Partition& child : children) {
+      pending->emplace_back(std::move(child), remaining);
+    }
+    CollectTouched(table, pending, leaves, out);
+    pending->resize(old_size);
+  }
+  pending->push_back(std::move(node));
+}
+
+TEST(ExhaustiveOracleTest, BuildsAndEvaluatesEachDistinctSetAndPairOnce) {
+  // A full run builds one histogram per distinct constraint set and
+  // computes one divergence per distinct ordered leaf pair, however many
+  // partitionings share them.
+  Table workers = OracleWorkers(40);
+  UnfairnessEvaluator eval = OracleEvaluator(workers, "emd");
+  const std::vector<size_t> attrs = FirstAttributes(workers, 3);
+  std::vector<std::pair<Partition, std::vector<size_t>>> pending;
+  pending.emplace_back(MakeRootPartition(workers.num_rows()), attrs);
+  std::vector<size_t> leaves;
+  Touched touched;
+  CollectTouched(workers, &pending, &leaves, &touched);
+
+  const PipelineCounts before = ReadPipelineCounts();
+  SearchResult result =
+      MakeExhaustiveAlgorithm()
+          ->Run(eval, attrs, ExecutionContext::Unbounded())
+          .value();
+  const PipelineCounts after = ReadPipelineCounts();
+  ASSERT_FALSE(result.truncated);
+  EXPECT_EQ(after.builds - before.builds, touched.sets.size());
+  EXPECT_EQ(after.evals - before.evals, touched.pairs.size());
+}
+
+/// Distinct splits below `partition`: one per allowed attribute, plus those
+/// of the children when the split has at least two.
+uint64_t DistinctSplits(const Table& table, const Partition& partition,
+                        const std::vector<size_t>& attrs) {
+  uint64_t splits = 0;
+  for (size_t pos = 0; pos < attrs.size(); ++pos) {
+    ++splits;
+    std::vector<Partition> children =
+        SplitPartition(table, partition, attrs[pos]);
+    if (children.size() < 2) continue;
+    std::vector<size_t> remaining = attrs;
+    remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(pos));
+    for (const Partition& child : children) {
+      splits += DistinctSplits(table, child, remaining);
+    }
+  }
+  return splits;
+}
+
+TEST(ExhaustiveOracleTest, TraceShowsEachDistinctSplitOnceAndNoLeaves) {
+  // Each distinct (path, attribute) split runs once, under one "expand"
+  // span; complete partitionings record no span.
+  Table workers = OracleWorkers(40);
+  UnfairnessEvaluator eval = OracleEvaluator(workers, "emd");
+  const std::vector<size_t> attrs = FirstAttributes(workers, 3);
+  TraceContext trace(/*sampled=*/true, /*max_spans=*/16);
+  const ExecutionContext context =
+      ExecutionContext::Unbounded().WithTrace(&trace, -1);
+  SearchResult result =
+      MakeExhaustiveAlgorithm()->Run(eval, attrs, context).value();
+  ASSERT_FALSE(result.truncated);
+  uint64_t expand = 0;
+  for (const TraceContext::NamedTotal& total : trace.Totals()) {
+    EXPECT_NE(total.name, "evaluate");
+    if (total.name == "expand") expand = total.count;
+  }
+  EXPECT_EQ(expand, DistinctSplits(workers,
+                                   MakeRootPartition(workers.num_rows()),
+                                   attrs));
+  EXPECT_GT(trace.spans_dropped(), 0u);  // The totals count past the cap.
 }
 
 TEST(ExhaustiveOracleTest, DivergenceFaultSurfacesAsErrorThroughTheMemo) {

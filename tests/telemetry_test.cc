@@ -228,6 +228,20 @@ TEST(TraceContextTest, SpanCapDropsButTotalsStayExact) {
   EXPECT_EQ(totals[0].total_ns, 100u);
 }
 
+TEST(TraceContextTest, ScopedSpansPastTheCapStillCountInTotals) {
+  TraceContext trace(/*sampled=*/true, /*max_spans=*/2);
+  for (int i = 0; i < 5; ++i) {
+    ScopedSpan span(&trace, "expand");
+    EXPECT_EQ(span.id() < 0, i >= 2) << i;
+  }
+  EXPECT_EQ(trace.span_count(), 2u);
+  EXPECT_EQ(trace.spans_dropped(), 3u);
+  std::vector<TraceContext::NamedTotal> totals = trace.Totals();
+  ASSERT_EQ(totals.size(), 1u);
+  EXPECT_EQ(totals[0].name, "expand");
+  EXPECT_EQ(totals[0].count, 5u);  // All five, not just the two kept.
+}
+
 TEST(TraceContextTest, FormatTreeShowsHierarchyAndTotals) {
   TraceContext trace;
   const int64_t root = trace.StartSpan("audit");
