@@ -241,8 +241,10 @@ std::string FormatAggregateAuditReport(const CellStore& store,
   if (options.include_histograms) {
     for (size_t i = 0; i < limit; ++i) {
       const AggregatePartition& p = result.partitions[i];
-      out += "\n" + AggregatePartitionLabel(store.specs(), p) + ":\n" +
-             p.histogram.ToAscii();
+      out += '\n';
+      out += AggregatePartitionLabel(store.specs(), p);
+      out += ":\n";
+      out += p.histogram.ToAscii();
     }
   }
   return out;

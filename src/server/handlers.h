@@ -42,8 +42,8 @@ struct ServerEnv {
   int64_t retry_after_ms = 250;
 };
 
-/// What a handler produced: the wire response plus the observability the
-/// worker rolls into ServerStats after sending.
+/// What a handler produced: the wire response plus what the worker records
+/// in the server's metrics after sending.
 struct HandlerResult {
   HttpResponse response;
   bool truncated = false;   ///< 200 whose body carries truncated: true.

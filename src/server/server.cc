@@ -91,6 +91,17 @@ bool IsValidRequestId(const std::string& id) {
   return true;
 }
 
+/// Appends `"key":value` to a JSON object under construction, after a comma
+/// unless the object was just opened. `value` "{" opens a nested object.
+void AppendField(std::string* out, const std::string& key,
+                 const std::string& value) {
+  if (out->back() != '{') out->push_back(',');
+  out->push_back('"');
+  out->append(JsonEscape(key));
+  out->append("\":");
+  out->append(value);
+}
+
 /// One JSON access-log line. `trace_id` is empty for untraced requests.
 std::string AccessLogLine(const std::string& request_id,
                           const std::string& method, const std::string& path,
@@ -136,6 +147,75 @@ FairAuditServer::FairAuditServer(
   env_.max_request_threads =
       options_.max_request_threads > 0 ? options_.max_request_threads : 1;
   env_.retry_after_ms = options_.retry_after_ms;
+
+  // Per-endpoint families are declared up front so their headers render
+  // before the first request; RecordRequest adds each endpoint's children.
+  metrics_.AddFamily("fairrank_http_requests_total",
+                     "Requests served, by endpoint", MetricType::kCounter,
+                     "endpoint");
+  metrics_.AddFamily("fairrank_http_request_errors_total",
+                     "Responses with status >= 400, by endpoint",
+                     MetricType::kCounter, "endpoint");
+  metrics_.AddFamily("fairrank_http_requests_truncated_total",
+                     "200s whose body carried truncated results, by endpoint",
+                     MetricType::kCounter, "endpoint");
+  metrics_.AddFamily(
+      "fairrank_http_request_duration_seconds",
+      "Request wall time, by endpoint (GK sketch; same sketch as /stats)",
+      MetricType::kSummary, "endpoint");
+  accepted_ = metrics_.GetCounter("fairrank_http_accepted_total",
+                                  "Requests admitted past the admission gate");
+  parse_errors_ = metrics_.GetCounter(
+      "fairrank_http_parse_errors_total",
+      "Connections whose bytes never parsed into a routable request");
+  keep_alive_reuses_ = metrics_.GetCounter(
+      "fairrank_http_keep_alive_reuses_total",
+      "Requests served on an already-used kept-alive connection");
+  shed_total_ = metrics_.GetCounter(
+      "fairrank_http_shed_total",
+      "Requests shed before any work ran, by reason", {"reason", "total"});
+
+  // Live values stay with their owners and are read at render time.
+  const auto gauge = [this](const char* name, const char* help,
+                            std::function<int64_t()> read) {
+    metrics_.AddCallback(name, help, MetricType::kGauge, {}, std::move(read));
+  };
+  gauge("fairrank_http_in_flight_count", "Requests currently executing",
+        [this] { return admission_.in_flight(); });
+  gauge("fairrank_http_queue_depth_count",
+        "Accepted connections waiting for a worker",
+        [this] { return queue_.size(); });
+  gauge("fairrank_http_draining_info",
+        "1 while the server is draining for shutdown",
+        [this] { return draining() ? 1 : 0; });
+  gauge("fairrank_budget_nodes_used_count", "Process-budget nodes spent",
+        [this] { return process_budget_.nodes_used(); });
+  gauge("fairrank_budget_nodes_limit_count",
+        "Process-budget node cap (0 = unlimited)",
+        [this] { return process_budget_.max_nodes(); });
+  gauge("fairrank_budget_memory_used_bytes",
+        "Process-budget approximate memory spent",
+        [this] { return process_budget_.memory_used_bytes(); });
+  gauge("fairrank_budget_memory_limit_bytes",
+        "Process-budget memory cap (0 = unlimited)",
+        [this] { return process_budget_.max_memory_bytes(); });
+  gauge("fairrank_response_cache_bytes", "Resident bytes of cached responses",
+        [this] { return response_cache_.Snapshot().bytes_used; });
+  gauge("fairrank_response_cache_entries_count",
+        "Cached responses currently resident",
+        [this] { return response_cache_.Snapshot().entries; });
+  const std::pair<const char*, uint64_t ResponseCacheStats::*> events[] = {
+      {"hits", &ResponseCacheStats::hits},
+      {"misses", &ResponseCacheStats::misses},
+      {"insertions", &ResponseCacheStats::insertions},
+      {"evictions", &ResponseCacheStats::evictions}};
+  for (const auto& [event, field] : events) {
+    metrics_.AddCallback(
+        "fairrank_response_cache_events_total",
+        "Response-cache activity, by event", MetricType::kCounter,
+        {"event", event},
+        [this, field = field] { return response_cache_.Snapshot().*field; });
+  }
 }
 
 FairAuditServer::~FairAuditServer() {
@@ -238,7 +318,7 @@ void FairAuditServer::ListenerLoop() {
     bool fd_ready = SetNonBlocking(fd).ok();
     if (fd_ready && queue_.TryPush(fd)) continue;
     const char* reason = fd_ready ? "queue_full" : "fd_setup_failed";
-    stats_.RecordShed(reason);
+    RecordShed(reason);
     HttpResponse shed = MakeErrorResponse(
         503, "ResourceExhausted", reason,
         std::string("request shed: ") + reason, options_.retry_after_ms);
@@ -287,7 +367,7 @@ void FairAuditServer::ServeConnection(int fd) {
       // error: close without a response and without polluting the
       // parse-error counter.
       if (status.code() != StatusCode::kCancelled) {
-        stats_.RecordParseError();
+        parse_errors_->Increment();
         HttpResponse error = MakeErrorResponse(
             HttpStatusForReadError(status), StatusCodeToString(status.code()),
             "bad_request", status.message());
@@ -298,7 +378,7 @@ void FairAuditServer::ServeConnection(int fd) {
       }
       break;
     }
-    if (served > 0) stats_.RecordConnectionReuse();
+    if (served > 0) keep_alive_reuses_->Increment();
 
     // Every response carries an X-Request-Id: the client's own (when valid)
     // so its logs and ours share a key, a minted one otherwise.
@@ -336,14 +416,8 @@ void FairAuditServer::ServeConnection(int fd) {
     double seconds = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
                          .count();
-    // Known endpoints keyed as-is; everything else collapses into one
-    // bucket so a path-scanning client cannot grow the stats map
-    // unboundedly.
     const std::string& path = request->path;
-    bool known = path == "/audit" || path == "/suite" || path == "/healthz" ||
-                 path == "/stats" || path == "/metrics";
-    stats_.RecordRequest(known ? path : "(other)", result.response.status,
-                         seconds, result.truncated);
+    RecordRequest(path, result.response.status, seconds, result.truncated);
 
     const double duration_ms = seconds * 1000.0;
     if (options_.log_sink) {
@@ -375,14 +449,10 @@ HandlerResult FairAuditServer::Route(const HttpRequest& request,
     // Observability must outlive admission: /metrics bypasses the gate and
     // is served even while draining, exactly when an operator most needs
     // it. Process-registry families (pipeline counters, audit histograms)
-    // come first, then the server's own request/shed/cache/budget families
-    // — both from the same state /stats snapshots.
+    // come first, then the server's own registry — the one /stats renders.
     result.response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    result.response.body =
-        MetricsRegistry::Global().RenderPrometheus() +
-        stats_.ToPrometheus(&process_budget_, admission_.in_flight(),
-                            is_draining, queue_.size(),
-                            response_cache_.Snapshot());
+    result.response.body = MetricsRegistry::Global().RenderPrometheus();
+    result.response.body += metrics_.RenderPrometheus();
     return result;
   }
   if (request.path == "/healthz") {
@@ -416,7 +486,7 @@ HandlerResult FairAuditServer::Route(const HttpRequest& request,
     }
     AdmissionVerdict verdict = admission_.TryAdmit(is_draining);
     if (verdict != AdmissionVerdict::kAdmit) {
-      stats_.RecordShed(AdmissionVerdictToString(verdict));
+      RecordShed(AdmissionVerdictToString(verdict));
       // Overload (a transient in-flight spike) is the client's cue to
       // retry soon: 429. Draining and an exhausted process budget are
       // server-side unavailability: 503.
@@ -427,7 +497,7 @@ HandlerResult FairAuditServer::Route(const HttpRequest& request,
           options_.retry_after_ms);
       return result;
     }
-    stats_.RecordAccepted();
+    accepted_->Increment();
     result = request.path == "/audit" ? HandleAudit(env_, request, trace)
                                       : HandleSuite(env_, request, trace);
     admission_.Release();
@@ -604,9 +674,131 @@ void FairAuditServer::SendResponse(int fd, const HttpResponse& response,
   }
 }
 
+void FairAuditServer::RecordRequest(const std::string& path, int status,
+                                    double seconds, bool truncated) {
+  size_t i = 0;
+  while (i + 1 < std::size(kEndpoints) && path != kEndpoints[i]) ++i;
+  EndpointMetrics& endpoint = endpoints_[i];
+  std::call_once(endpoint.registered, [this, &endpoint, i] {
+    // The constructor fixed each family's help and label name.
+    const MetricLabel label{"endpoint", kEndpoints[i]};
+    endpoint.requests =
+        metrics_.GetCounter("fairrank_http_requests_total", "", label);
+    endpoint.errors =
+        metrics_.GetCounter("fairrank_http_request_errors_total", "", label);
+    endpoint.truncated = metrics_.GetCounter(
+        "fairrank_http_requests_truncated_total", "", label);
+    endpoint.duration = metrics_.GetHistogram(
+        "fairrank_http_request_duration_seconds", "", label);
+  });
+  endpoint.requests->Increment();
+  if (status >= 400) endpoint.errors->Increment();
+  if (truncated) endpoint.truncated->Increment();
+  endpoint.duration->Observe(seconds);
+}
+
+void FairAuditServer::RecordShed(const char* reason) {
+  size_t i = 0;
+  while (i + 1 < std::size(kShedReasons) &&
+         std::strcmp(reason, kShedReasons[i]) != 0) {
+    ++i;
+  }
+  ShedMetric& shed = shed_[i];
+  std::call_once(shed.registered, [this, &shed, i] {
+    // The constructor registered the family with its "total" child.
+    shed.shed = metrics_.GetCounter("fairrank_http_shed_total", "",
+                                    {"reason", kShedReasons[i]});
+  });
+  shed.shed->Increment();
+  shed_total_->Increment();
+}
+
 std::string FairAuditServer::StatsJson() const {
-  return stats_.ToJson(&process_budget_, admission_.in_flight(), draining(),
-                       queue_.size(), response_cache_.Snapshot());
+  const std::map<std::string, MetricsRegistry::Family> metrics =
+      metrics_.Snapshot();
+  // Every family is registered by the constructor; an endpoint's children
+  // read as zero until its first request has registered them.
+  const auto sample = [&metrics](const char* name, const std::string& label)
+      -> const MetricsRegistry::Sample& {
+    static const MetricsRegistry::Sample kAbsent;
+    const MetricsRegistry::Sample* found = metrics.at(name).Find(label);
+    return found != nullptr ? *found : kAbsent;
+  };
+  const auto count = [&sample](const char* name, const std::string& label) {
+    return std::to_string(sample(name, label).value);
+  };
+  const auto flag = [](bool b) { return std::string(b ? "true" : "false"); };
+  const auto millis = [](double seconds) {
+    return FormatDouble(seconds * 1000.0, 3);
+  };
+
+  std::string out = "{";
+  AppendField(&out, "in_flight", count("fairrank_http_in_flight_count", ""));
+  AppendField(&out, "draining",
+              flag(sample("fairrank_http_draining_info", "").value != 0));
+  AppendField(&out, "queue_depth",
+              count("fairrank_http_queue_depth_count", ""));
+  AppendField(&out, "accepted", count("fairrank_http_accepted_total", ""));
+  AppendField(&out, "parse_errors",
+              count("fairrank_http_parse_errors_total", ""));
+  AppendField(&out, "keep_alive_reuses",
+              count("fairrank_http_keep_alive_reuses_total", ""));
+
+  AppendField(&out, "response_cache", "{");
+  for (const char* event : {"hits", "misses", "insertions", "evictions"}) {
+    AppendField(&out, event,
+                count("fairrank_response_cache_events_total", event));
+  }
+  AppendField(&out, "bytes_used", count("fairrank_response_cache_bytes", ""));
+  AppendField(&out, "entries",
+              count("fairrank_response_cache_entries_count", ""));
+  out += '}';
+
+  // Reasons in label order; "total" sorts after every reason.
+  AppendField(&out, "shed", "{");
+  for (const MetricsRegistry::Sample& shed :
+       metrics.at("fairrank_http_shed_total").samples) {
+    AppendField(&out, shed.label_value, std::to_string(shed.value));
+  }
+  out += '}';
+
+  AppendField(&out, "budget", "{");
+  AppendField(&out, "nodes_used",
+              count("fairrank_budget_nodes_used_count", ""));
+  AppendField(&out, "max_nodes",
+              count("fairrank_budget_nodes_limit_count", ""));
+  AppendField(&out, "memory_used_bytes",
+              count("fairrank_budget_memory_used_bytes", ""));
+  AppendField(&out, "max_memory_bytes",
+              count("fairrank_budget_memory_limit_bytes", ""));
+  AppendField(&out, "nodes_exhausted",
+              flag(process_budget_.nodes_exhausted()));
+  AppendField(&out, "memory_exhausted",
+              flag(process_budget_.memory_exhausted()));
+  out += '}';
+
+  AppendField(&out, "endpoints", "{");
+  for (const MetricsRegistry::Sample& served :
+       metrics.at("fairrank_http_requests_total").samples) {
+    const std::string& endpoint = served.label_value;
+    const MetricHistogram::Snapshot& latency =
+        sample("fairrank_http_request_duration_seconds", endpoint).summary;
+    AppendField(&out, endpoint, "{");
+    AppendField(&out, "count", std::to_string(served.value));
+    AppendField(&out, "errors",
+                count("fairrank_http_request_errors_total", endpoint));
+    AppendField(&out, "truncated",
+                count("fairrank_http_requests_truncated_total", endpoint));
+    // The same sketch reads as the /metrics summary: milliseconds at 3
+    // decimals here, seconds at 6 there — identical digits.
+    AppendField(&out, "total_ms", millis(latency.sum_seconds));
+    AppendField(&out, "max_ms", millis(latency.max_seconds));
+    AppendField(&out, "p50_ms", millis(latency.p50_seconds));
+    AppendField(&out, "p99_ms", millis(latency.p99_seconds));
+    out += '}';
+  }
+  out += "}}";
+  return out;
 }
 
 }  // namespace fairrank

@@ -1,23 +1,26 @@
 #ifndef FAIRRANK_SERVER_SERVER_H_
 #define FAIRRANK_SERVER_SERVER_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "common/budget.h"
 #include "common/deadline.h"
 #include "common/status.h"
+#include "common/telemetry.h"
 #include "data/table.h"
 #include "server/admission.h"
 #include "server/handlers.h"
 #include "server/http.h"
 #include "server/queue.h"
 #include "server/response_cache.h"
-#include "server/stats.h"
 
 namespace fairrank {
 
@@ -117,8 +120,13 @@ struct ServerOptions {
 /// SIGINT/SIGTERM by fairauditd) stops accepting, waits up to
 /// drain_grace_ms for in-flight requests, then requests cooperative
 /// cancellation so stragglers return truncated best-so-far answers; Serve()
-/// returns OK after the last worker exits. Stats survive for a final
+/// returns OK after the last worker exits. Metrics survive for a final
 /// StatsJson() flush.
+///
+/// Observability: each server owns one MetricsRegistry (not Global(), so
+/// servers sharing a process keep separate counts). /metrics renders the
+/// process registry and then this one; /stats is a JSON rendering of the
+/// same registry snapshot.
 class FairAuditServer {
  public:
   /// `tables` are owned by the server and must be non-null; `default_name`
@@ -150,6 +158,39 @@ class FairAuditServer {
   std::string StatsJson() const;
 
  private:
+  /// Label values of the per-endpoint families. Any other path counts as
+  /// the last, "(other)", so a path-scanning client cannot grow them.
+  static constexpr const char* kEndpoints[] = {
+      "/audit", "/suite", "/healthz", "/stats", "/metrics", "(other)"};
+  /// Label values of fairrank_http_shed_total besides "total": the
+  /// listener's own two reasons, then the admission verdicts.
+  static constexpr const char* kShedReasons[] = {
+      "queue_full", "fd_setup_failed", "draining", "budget_exhausted",
+      "overloaded"};
+
+  /// Registry children of one endpoint, registered on its first request
+  /// (an endpoint appears in /stats and /metrics once served) and cached,
+  /// so the request path never takes the registry mutex.
+  struct EndpointMetrics {
+    std::once_flag registered;
+    MetricCounter* requests = nullptr;
+    MetricCounter* errors = nullptr;     ///< Responses with status >= 400.
+    MetricCounter* truncated = nullptr;  ///< 200s that carried truncated.
+    MetricHistogram* duration = nullptr;
+  };
+  /// The same for one shed reason.
+  struct ShedMetric {
+    std::once_flag registered;
+    MetricCounter* shed = nullptr;
+  };
+
+  /// A finished request on `path`: its HTTP status, wall seconds, and
+  /// whether the body carried truncated results.
+  void RecordRequest(const std::string& path, int status, double seconds,
+                     bool truncated);
+  /// A request shed before any work ran, by one of kShedReasons.
+  void RecordShed(const char* reason);
+
   /// Task 0 of the pool: accept loop + drain coordinator.
   void ListenerLoop();
   /// Tasks 1..N: pop a connection, serve it until it closes.
@@ -188,11 +229,19 @@ class FairAuditServer {
   ResourceBudget process_budget_;
   AdmissionController admission_;
   ResponseCache response_cache_;
-  ServerStats stats_;
   BoundedQueue<int> queue_;
   CancellationSource drain_source_;
   ServerEnv env_;
   std::atomic<bool> draining_{false};
+  /// Declared after every owner its callback families read, so it is
+  /// destroyed first.
+  MetricsRegistry metrics_;
+  MetricCounter* accepted_ = nullptr;      ///< Admitted past the gate.
+  MetricCounter* parse_errors_ = nullptr;  ///< Connections never parsed.
+  MetricCounter* keep_alive_reuses_ = nullptr;  ///< On a reused connection.
+  MetricCounter* shed_total_ = nullptr;         ///< reason="total".
+  std::array<EndpointMetrics, std::size(kEndpoints)> endpoints_;
+  std::array<ShedMetric, std::size(kShedReasons)> shed_;
   int listen_fd_ = -1;
   int port_ = 0;
 };

@@ -715,14 +715,51 @@ TEST(ServerTest, MetricsEndpointServesPrometheusFamilies) {
             std::string::npos);
 }
 
+/// The integer after `"field":` in a /stats body, searched from the first
+/// `scope` (e.g. `"/audit":{`; empty = the top level); -1 when absent.
+int64_t JsonInt(const std::string& body, const std::string& scope,
+                const std::string& field) {
+  size_t pos = scope.empty() ? 0 : body.find(scope);
+  if (pos == std::string::npos) return -1;
+  pos = body.find("\"" + field + "\":", pos);
+  if (pos == std::string::npos) return -1;
+  return std::stoll(body.substr(pos + field.size() + 3));
+}
+
+/// The value of the sample line `series value` in a /metrics body; -1 when
+/// absent.
+int64_t MetricInt(const std::string& body, const std::string& series) {
+  const std::string needle = "\n" + series + " ";
+  size_t pos = body.find(needle);
+  if (pos == std::string::npos) return -1;
+  return std::stoll(body.substr(pos + needle.size()));
+}
+
 TEST(ServerTest, StatsAndMetricsQuantilesReadTheSameSketch) {
-  auto running = StartServer(DefaultOptions());
+  // A tiny process budget: the first audit truncates, the next two shed
+  // with 503 budget_exhausted — so errors, truncated and shed are non-zero.
+  ServerOptions options = DefaultOptions();
+  options.max_total_nodes = 10;
+  auto running = StartServer(options);
   for (int i = 0; i < 3; ++i) {
-    ASSERT_EQ(
+    EXPECT_EQ(
         Fetch(*running, "/audit?function=f6&algorithm=unbalanced&seed=3")
             .status_code,
-        200);
+        i == 0 ? 200 : 503);
   }
+  EXPECT_EQ(Fetch(*running, "/nowhere").status_code, 404);
+  HttpClient client("127.0.0.1", running->server->port());
+  for (int i = 0; i < 2; ++i) {
+    StatusOr<HttpFetchResult> healthz = client.Fetch("GET", "/healthz", "",
+                                                     30000);
+    ASSERT_TRUE(healthz.ok()) << healthz.status().ToString();
+  }
+  client.Close();
+  EXPECT_NE(RawRoundTrip(running->server->port(),
+                         "GET /healthz HTTP/1.1\r\nHost: t\r\n"
+                         "Content-Length: 0\r\nContent-Length: 0\r\n\r\n")
+                .find("HTTP/1.1 400 "),
+            std::string::npos);
 
   // /stats reports milliseconds (3 decimals), /metrics seconds (6 decimals)
   // — 1 µs resolution both ways, read off the SAME per-endpoint GK sketch.
@@ -749,6 +786,77 @@ TEST(ServerTest, StatsAndMetricsQuantilesReadTheSameSketch) {
 
   EXPECT_GT(stats_p50_ms, 0.0);
   EXPECT_NEAR(stats_p50_ms, metrics_p50_seconds * 1000.0, 0.002);
+
+  // Every counter agrees too, and each was exercised. ("/stats" and
+  // "/metrics" themselves are left out: each scrape counts before the next.)
+  struct Expectation {
+    std::string scope, field, series;
+    int64_t value;
+  };
+  const std::vector<Expectation> expected = {
+      {"\"/audit\":{", "count",
+       "fairrank_http_requests_total{endpoint=\"/audit\"}", 3},
+      {"\"/audit\":{", "errors",
+       "fairrank_http_request_errors_total{endpoint=\"/audit\"}", 2},
+      {"\"/audit\":{", "truncated",
+       "fairrank_http_requests_truncated_total{endpoint=\"/audit\"}", 1},
+      {"\"/healthz\":{", "count",
+       "fairrank_http_requests_total{endpoint=\"/healthz\"}", 2},
+      {"\"(other)\":{", "errors",
+       "fairrank_http_request_errors_total{endpoint=\"(other)\"}", 1},
+      {"\"shed\":{", "budget_exhausted",
+       "fairrank_http_shed_total{reason=\"budget_exhausted\"}", 2},
+      {"\"shed\":{", "total", "fairrank_http_shed_total{reason=\"total\"}",
+       2},
+      {"", "accepted", "fairrank_http_accepted_total", 1},
+      {"", "parse_errors", "fairrank_http_parse_errors_total", 1},
+      {"", "keep_alive_reuses", "fairrank_http_keep_alive_reuses_total", 1},
+  };
+  for (const Expectation& e : expected) {
+    EXPECT_EQ(JsonInt(stats.body, e.scope, e.field), e.value)
+        << e.scope << e.field << "\n"
+        << stats.body;
+    EXPECT_EQ(MetricInt(metrics.body, e.series), e.value)
+        << e.series << "\n"
+        << metrics.body;
+  }
+}
+
+// Each server owns its metrics: two servers in one process never see each
+// other's requests, in /stats or in /metrics.
+TEST(ServerTest, TwoServersKeepSeparateMetrics) {
+  auto first = StartServer(DefaultOptions());
+  auto second = StartServer(DefaultOptions());
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(
+        Fetch(*first, "/audit?function=f6&algorithm=unbalanced&seed=3")
+            .status_code,
+        200);
+  }
+  ASSERT_EQ(Fetch(*second, "/healthz").status_code, 200);
+
+  const std::string first_stats = Fetch(*first, "/stats").body;
+  const std::string second_stats = Fetch(*second, "/stats").body;
+  EXPECT_EQ(JsonInt(first_stats, "\"/audit\":{", "count"), 2) << first_stats;
+  EXPECT_EQ(JsonInt(first_stats, "", "accepted"), 2) << first_stats;
+  EXPECT_EQ(first_stats.find("\"/healthz\""), std::string::npos)
+      << first_stats;
+  EXPECT_EQ(JsonInt(second_stats, "\"/healthz\":{", "count"), 1)
+      << second_stats;
+  EXPECT_EQ(JsonInt(second_stats, "", "accepted"), 0) << second_stats;
+  EXPECT_EQ(second_stats.find("\"/audit\""), std::string::npos)
+      << second_stats;
+
+  const std::string second_metrics = Fetch(*second, "/metrics").body;
+  EXPECT_EQ(MetricInt(second_metrics,
+                      "fairrank_http_requests_total{endpoint=\"/stats\"}"),
+            1)
+      << second_metrics;
+  EXPECT_EQ(MetricInt(second_metrics, "fairrank_http_accepted_total"), 0);
+  EXPECT_EQ(second_metrics.find(
+                "fairrank_http_requests_total{endpoint=\"/audit\"}"),
+            std::string::npos)
+      << second_metrics;
 }
 
 TEST(ServerTest, RequestIdIsEchoedOrMintedOnEveryResponse) {

@@ -1,6 +1,7 @@
-// Tests for the telemetry subsystem: the metrics registry (including its
-// behaviour under concurrent registration + updates, which the TSan CI job
-// replays), the GK-backed latency sketch, metric-name validation, and the
+// Tests for the telemetry subsystem: the metrics registry (labeled families,
+// callbacks, and its behaviour under concurrent registration + updates,
+// which the TSan CI job replays), the GK-backed latency histogram,
+// metric-name validation, and the
 // TraceContext span machinery (parent links, ordering, the span cap, and
 // the sampling gate).
 
@@ -18,40 +19,41 @@ namespace fairrank {
 namespace {
 
 // ---------------------------------------------------------------------------
-// LatencySketch
+// MetricHistogram
 
-TEST(LatencySketchTest, EmptySketchHasNoQuantile) {
-  LatencySketch sketch;
-  EXPECT_EQ(sketch.count(), 0u);
-  EXPECT_FALSE(sketch.QuantileSeconds(0.5).ok());
+TEST(MetricHistogramTest, EmptyHistogramReadsZero) {
+  MetricHistogram histogram;
+  MetricHistogram::Snapshot snapshot = histogram.TakeSnapshot();
+  EXPECT_EQ(snapshot.count, 0u);
+  EXPECT_EQ(snapshot.p50_seconds, 0.0);
+  EXPECT_EQ(snapshot.p99_seconds, 0.0);
 }
 
-TEST(LatencySketchTest, QuantilesTrackUniformStream) {
-  LatencySketch sketch;
+TEST(MetricHistogramTest, QuantilesTrackUniformStream) {
+  MetricHistogram histogram;
   // 1ms..1000ms uniform: p50 ~ 0.5s, p99 ~ 0.99s.
   for (int i = 1; i <= 1000; ++i) {
-    sketch.Observe(static_cast<double>(i) / 1000.0);
+    histogram.Observe(static_cast<double>(i) / 1000.0);
   }
-  EXPECT_EQ(sketch.count(), 1000u);
-  EXPECT_DOUBLE_EQ(sketch.max_seconds(), 1.0);
-  EXPECT_NEAR(sketch.sum_seconds(), 500.5, 1e-9);
-
-  StatusOr<double> p50 = sketch.QuantileSeconds(0.5);
-  StatusOr<double> p99 = sketch.QuantileSeconds(0.99);
-  ASSERT_TRUE(p50.ok());
-  ASSERT_TRUE(p99.ok());
+  MetricHistogram::Snapshot snapshot = histogram.TakeSnapshot();
+  EXPECT_EQ(snapshot.count, 1000u);
+  EXPECT_DOUBLE_EQ(snapshot.max_seconds, 1.0);
+  EXPECT_NEAR(snapshot.sum_seconds, 500.5, 1e-9);
   // GK epsilon=0.005 over 1000 samples: ±5 ranks = ±0.005s, plus slack.
-  EXPECT_NEAR(*p50, 0.5, 0.02);
-  EXPECT_NEAR(*p99, 0.99, 0.02);
-  EXPECT_LT(*p50, *p99);
+  EXPECT_NEAR(snapshot.p50_seconds, 0.5, 0.02);
+  EXPECT_NEAR(snapshot.p90_seconds, 0.9, 0.02);
+  EXPECT_NEAR(snapshot.p99_seconds, 0.99, 0.02);
+  EXPECT_LT(snapshot.p50_seconds, snapshot.p99_seconds);
 }
 
-TEST(LatencySketchTest, SingleObservationIsEveryQuantile) {
-  LatencySketch sketch;
-  sketch.Observe(0.25);
-  ASSERT_TRUE(sketch.QuantileSeconds(0.5).ok());
-  EXPECT_DOUBLE_EQ(*sketch.QuantileSeconds(0.5), 0.25);
-  EXPECT_DOUBLE_EQ(*sketch.QuantileSeconds(0.99), 0.25);
+TEST(MetricHistogramTest, SingleObservationIsEveryQuantile) {
+  MetricHistogram histogram;
+  histogram.Observe(0.25);
+  MetricHistogram::Snapshot snapshot = histogram.TakeSnapshot();
+  EXPECT_EQ(snapshot.count, 1u);
+  EXPECT_DOUBLE_EQ(snapshot.p50_seconds, 0.25);
+  EXPECT_DOUBLE_EQ(snapshot.p90_seconds, 0.25);
+  EXPECT_DOUBLE_EQ(snapshot.p99_seconds, 0.25);
 }
 
 // ---------------------------------------------------------------------------
@@ -62,8 +64,13 @@ TEST(MetricsRegistryTest, GetReturnsStablePointerPerName) {
   MetricCounter* a = registry.GetCounter("fairrank_example_total", "help");
   MetricCounter* b = registry.GetCounter("fairrank_example_total", "other");
   EXPECT_EQ(a, b);
-  MetricGauge* g = registry.GetGauge("fairrank_example_count", "help");
-  EXPECT_EQ(g, registry.GetGauge("fairrank_example_count", "help"));
+  // One pointer per (name, label value).
+  MetricCounter* audit = registry.GetCounter("fairrank_labeled_total", "help",
+                                             {"endpoint", "/audit"});
+  EXPECT_EQ(audit, registry.GetCounter("fairrank_labeled_total", "help",
+                                       {"endpoint", "/audit"}));
+  EXPECT_NE(audit, registry.GetCounter("fairrank_labeled_total", "help",
+                                       {"endpoint", "/stats"}));
   MetricHistogram* h =
       registry.GetHistogram("fairrank_example_seconds", "help");
   EXPECT_EQ(h, registry.GetHistogram("fairrank_example_seconds", "help"));
@@ -73,7 +80,8 @@ TEST(MetricsRegistryTest, RenderPrometheusEmitsAllFamiliesSorted) {
   MetricsRegistry registry;
   registry.GetCounter("fairrank_zz_total", "Last counter")->Increment(3);
   registry.GetCounter("fairrank_aa_total", "First counter")->Increment(1);
-  registry.GetGauge("fairrank_depth_count", "A gauge")->Set(-7);
+  registry.AddCallback("fairrank_depth_count", "A gauge", MetricType::kGauge,
+                       {}, [] { return int64_t{-7}; });
   MetricHistogram* h = registry.GetHistogram("fairrank_mid_seconds", "Mid");
   h->Observe(0.5);
   h->Observe(1.5);
@@ -91,8 +99,110 @@ TEST(MetricsRegistryTest, RenderPrometheusEmitsAllFamiliesSorted) {
   EXPECT_NE(text.find("fairrank_mid_seconds_count 2"), std::string::npos);
   EXPECT_NE(text.find("fairrank_mid_seconds{quantile=\"0.5\"}"),
             std::string::npos);
-  // Deterministic ordering: sorted by name within each kind.
+  // Deterministic ordering: sorted by name.
   EXPECT_LT(text.find("fairrank_aa_total"), text.find("fairrank_zz_total"));
+}
+
+size_t CountOf(const std::string& text, const std::string& needle) {
+  size_t count = 0;
+  for (size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + 1)) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(MetricsRegistryTest, LabeledFamilyHasOneHeaderAndSortedSamples) {
+  MetricsRegistry registry;
+  // Registered out of label order; the unlabeled sibling stays separate.
+  registry.GetCounter("fairrank_shed_total", "Shed", {"reason", "total"});
+  registry.GetCounter("fairrank_shed_total", "Shed", {"reason", "overloaded"})
+      ->Increment(2);
+  registry.GetCounter("fairrank_shed_total", "Shed", {"reason", "draining"})
+      ->Increment();
+  registry.AddCallback("fairrank_events_total", "Events", MetricType::kCounter,
+                       {"event", "hits"}, [] { return int64_t{7}; });
+  registry.AddCallback("fairrank_depth_count", "Depth", MetricType::kGauge, {},
+                       [] { return int64_t{-3}; });
+  // A declared family renders its header before it has any child.
+  registry.AddFamily("fairrank_idle_total", "Idle", MetricType::kCounter,
+                     "endpoint");
+
+  const std::string text = registry.RenderPrometheus();
+  EXPECT_EQ(CountOf(text, "# HELP fairrank_shed_total Shed\n"), 1u) << text;
+  EXPECT_EQ(CountOf(text, "# TYPE fairrank_shed_total counter\n"), 1u)
+      << text;
+  const size_t draining =
+      text.find("fairrank_shed_total{reason=\"draining\"} 1\n");
+  const size_t overloaded =
+      text.find("fairrank_shed_total{reason=\"overloaded\"} 2\n");
+  const size_t total = text.find("fairrank_shed_total{reason=\"total\"} 0\n");
+  ASSERT_NE(draining, std::string::npos) << text;
+  ASSERT_NE(overloaded, std::string::npos) << text;
+  ASSERT_NE(total, std::string::npos) << text;
+  EXPECT_LT(draining, overloaded);
+  EXPECT_LT(overloaded, total);
+  EXPECT_NE(text.find("# TYPE fairrank_events_total counter\n"
+                      "fairrank_events_total{event=\"hits\"} 7\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("# TYPE fairrank_depth_count gauge\n"
+                      "fairrank_depth_count -3\n"),
+            std::string::npos)
+      << text;
+
+  EXPECT_NE(text.find("# TYPE fairrank_idle_total counter\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("fairrank_idle_total{"), std::string::npos) << text;
+
+  // The snapshot carries the same children in the same order.
+  const auto snapshot = registry.Snapshot();
+  const MetricsRegistry::Family& shed = snapshot.at("fairrank_shed_total");
+  EXPECT_EQ(shed.label, "reason");
+  ASSERT_EQ(shed.samples.size(), 3u);
+  EXPECT_EQ(shed.samples[0].label_value, "draining");
+  EXPECT_EQ(shed.samples[2].label_value, "total");
+  ASSERT_NE(shed.Find("overloaded"), nullptr);
+  EXPECT_EQ(shed.Find("overloaded")->value, 2);
+  EXPECT_EQ(shed.Find("queue_full"), nullptr);
+}
+
+TEST(MetricsRegistryTest, LabeledSummaryPutsFamilyLabelBeforeQuantile) {
+  MetricsRegistry registry;
+  MetricHistogram* audit = registry.GetHistogram(
+      "fairrank_request_seconds", "Latency", {"endpoint", "/audit"});
+  registry.GetHistogram("fairrank_request_seconds", "Latency",
+                        {"endpoint", "/stats"});  // Never observed.
+  audit->Observe(0.25);
+  audit->Observe(0.75);
+
+  const std::string text = registry.RenderPrometheus();
+  EXPECT_EQ(CountOf(text, "# TYPE fairrank_request_seconds summary\n"), 1u)
+      << text;
+  for (const char* quantile : {"0.5", "0.9", "0.99"}) {
+    EXPECT_NE(text.find(std::string("fairrank_request_seconds{endpoint=\"/"
+                                     "audit\",quantile=\"") +
+                        quantile + "\"} "),
+              std::string::npos)
+        << quantile << "\n"
+        << text;
+  }
+  EXPECT_NE(text.find(
+                "fairrank_request_seconds_sum{endpoint=\"/audit\"} 1.000000\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(
+      text.find("fairrank_request_seconds_count{endpoint=\"/audit\"} 2\n"),
+      std::string::npos)
+      << text;
+  // An empty child renders _sum/_count but no quantiles.
+  EXPECT_EQ(text.find("{endpoint=\"/stats\",quantile="), std::string::npos)
+      << text;
+  EXPECT_NE(
+      text.find("fairrank_request_seconds_count{endpoint=\"/stats\"} 0\n"),
+      std::string::npos)
+      << text;
 }
 
 // The TSan job runs this: concurrent registration of the SAME names plus
@@ -113,21 +223,38 @@ TEST(MetricsRegistryTest, ConcurrentRegistrationAndUpdates) {
       // registers, the rest must get the same pointer.
       MetricCounter* counter =
           registry.GetCounter("fairrank_race_total", "contended");
-      MetricGauge* gauge = registry.GetGauge("fairrank_race_count", "gauge");
       MetricHistogram* histogram =
           registry.GetHistogram("fairrank_race_seconds", "histogram");
       for (int i = 0; i < kIncrementsPerThread; ++i) {
         counter->Increment();
-        gauge->Add(1);
         if (i % 100 == 0) histogram->Observe(0.001 * (i % 7));
+        // Labeled children registered while other threads bump them and
+        // a snapshot reads them.
+        if (i % 1000 == 0) {
+          const MetricLabel label{"shard", std::to_string(i / 1000 % 4)};
+          registry.GetCounter("fairrank_race_labeled_total", "labeled", label)
+              ->Increment();
+          registry.GetHistogram("fairrank_race_labeled_seconds", "labeled",
+                                label)
+              ->Observe(0.001);
+          (void)registry.RenderPrometheus();
+        }
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
+  const auto families = registry.Snapshot();
+  const MetricsRegistry::Family& labeled =
+      families.at("fairrank_race_labeled_total");
+  ASSERT_EQ(labeled.samples.size(), 4u);
+  int64_t labeled_total = 0;
+  for (const MetricsRegistry::Sample& sample : labeled.samples) {
+    labeled_total += sample.value;
+  }
+  EXPECT_EQ(labeled_total,
+            static_cast<int64_t>(kThreads) * (kIncrementsPerThread / 1000));
   EXPECT_EQ(registry.GetCounter("fairrank_race_total", "")->value(),
             static_cast<uint64_t>(kThreads) * kIncrementsPerThread);
-  EXPECT_EQ(registry.GetGauge("fairrank_race_count", "")->value(),
-            static_cast<int64_t>(kThreads) * kIncrementsPerThread);
   MetricHistogram::Snapshot snapshot =
       registry.GetHistogram("fairrank_race_seconds", "")->TakeSnapshot();
   EXPECT_EQ(snapshot.count,
