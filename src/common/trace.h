@@ -82,11 +82,6 @@ class TraceContext {
   void AddEvent(const char* name, int64_t parent, uint64_t duration_ns)
       FAIRRANK_EXCLUDES(mutex_);
 
-  /// Instantaneous event (zero-duration span), e.g. a checkpoint.
-  void Event(const char* name, int64_t parent = -1) {
-    AddEvent(name, parent, 0);
-  }
-
   size_t span_count() const FAIRRANK_EXCLUDES(mutex_);
   uint64_t spans_dropped() const FAIRRANK_EXCLUDES(mutex_);
 

@@ -29,6 +29,25 @@ std::vector<size_t> Schema::ProtectedIndices() const {
   return out;
 }
 
+StatusOr<std::vector<size_t>> Schema::ResolveProtected(
+    const std::vector<std::string>& names) const {
+  if (names.empty()) {
+    std::vector<size_t> indices = ProtectedIndices();
+    if (indices.empty()) {
+      return Status::FailedPrecondition(
+          "schema has no protected attributes and none were requested");
+    }
+    return indices;
+  }
+  std::vector<size_t> indices;
+  indices.reserve(names.size());
+  for (const std::string& name : names) {
+    FAIRRANK_ASSIGN_OR_RETURN(size_t index, FindIndex(name));
+    indices.push_back(index);
+  }
+  return indices;
+}
+
 std::vector<size_t> Schema::ObservedIndices() const {
   std::vector<size_t> out;
   for (size_t i = 0; i < attributes_.size(); ++i) {

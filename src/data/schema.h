@@ -31,6 +31,11 @@ class Schema {
   /// Indices of all protected attributes, in schema order.
   std::vector<size_t> ProtectedIndices() const;
 
+  /// Indices of the attributes named `names`, in that order; for no names,
+  /// ProtectedIndices(), which must then be non-empty (FailedPrecondition).
+  StatusOr<std::vector<size_t>> ResolveProtected(
+      const std::vector<std::string>& names) const;
+
   /// Indices of all observed attributes, in schema order.
   std::vector<size_t> ObservedIndices() const;
 

@@ -11,6 +11,7 @@
 #include "common/str_util.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
+#include "fairness/balanced.h"
 
 namespace fairrank {
 namespace {
@@ -213,27 +214,16 @@ struct IngestPlan {
   double score_hi = 1.0;
 };
 
-StatusOr<IngestPlan> MakeIngestPlan(const Table& table,
-                                    const CellStoreIngestOptions& options) {
+/// The ingest plan over table columns `columns`, in that order.
+IngestPlan MakeIngestPlan(const Table& table, std::vector<size_t> columns,
+                          int num_bins, double score_lo, double score_hi) {
   IngestPlan plan;
-  plan.num_bins = options.num_bins;
-  plan.score_lo = options.score_lo;
-  plan.score_hi = options.score_hi;
-  if (options.protected_attributes.empty()) {
-    for (size_t index : table.schema().ProtectedIndices()) {
-      plan.columns.push_back(index);
-      plan.specs.push_back(table.schema().attribute(index));
-    }
-    if (plan.columns.empty()) {
-      return Status::FailedPrecondition(
-          "table schema declares no protected attributes");
-    }
-  } else {
-    for (const std::string& name : options.protected_attributes) {
-      FAIRRANK_ASSIGN_OR_RETURN(size_t index, table.schema().FindIndex(name));
-      plan.columns.push_back(index);
-      plan.specs.push_back(table.schema().attribute(index));
-    }
+  plan.num_bins = num_bins;
+  plan.score_lo = score_lo;
+  plan.score_hi = score_hi;
+  plan.columns = std::move(columns);
+  for (size_t index : plan.columns) {
+    plan.specs.push_back(table.schema().attribute(index));
   }
   size_t cells = 1;
   for (const AttributeSpec& spec : plan.specs) {
@@ -352,37 +342,113 @@ void RunIngestShard(const Table& table, const std::vector<double>& scores,
   }
 }
 
-/// Converts a finished shard into a CellStore (dense arrays rehydrate via
-/// Histogram::FromCounts; sparse shards already are one).
+/// An empty CellIndex over `specs` with the given bin configuration.
+CellIndex EmptyIndex(const std::vector<AttributeSpec>& specs, int num_bins,
+                     double score_lo, double score_hi) {
+  CellIndex index;
+  for (const AttributeSpec& spec : specs) {
+    index.num_groups.push_back(spec.num_groups());
+  }
+  index.num_bins = num_bins;
+  index.score_lo = score_lo;
+  index.score_hi = score_hi;
+  return index;
+}
+
+/// The store's cells, in key order.
+CellIndex IndexFromStore(const CellStore& store) {
+  CellIndex index = EmptyIndex(store.specs(), store.num_bins(),
+                               store.score_lo(), store.score_hi());
+  for (const auto& [key, cell] : store.cells()) {
+    index.groups.insert(index.groups.end(), key.begin(), key.end());
+    const std::vector<double>& counts = cell.histogram.counts();
+    index.counts.insert(index.counts.end(), counts.begin(), counts.end());
+    index.clamped.push_back(cell.histogram.clamped_count());
+    index.sizes.push_back(cell.count);
+  }
+  return index;
+}
+
+/// The non-empty cells of a finished dense shard, in dense-id (= key)
+/// order.
+CellIndex IndexFromDenseShard(const IngestPlan& plan,
+                              const CellStoreShard& shard) {
+  CellIndex index =
+      EmptyIndex(plan.specs, plan.num_bins, plan.score_lo, plan.score_hi);
+  const size_t bins = static_cast<size_t>(plan.num_bins);
+  for (size_t cell = 0; cell < plan.num_dense_cells; ++cell) {
+    if (shard.counts[cell] == 0) continue;
+    size_t rest = cell;
+    for (size_t stride : plan.strides) {
+      index.groups.push_back(static_cast<int>(rest / stride));
+      rest %= stride;
+    }
+    const auto first =
+        shard.bins.begin() + static_cast<ptrdiff_t>(cell * bins);
+    index.counts.insert(index.counts.end(), first,
+                        first + static_cast<ptrdiff_t>(bins));
+    index.clamped.push_back(shard.clamped[cell]);
+    index.sizes.push_back(shard.counts[cell]);
+  }
+  return index;
+}
+
+/// Converts a finished shard into a CellStore (sparse shards already are
+/// one).
 StatusOr<CellStore> ShardToStore(const IngestPlan& plan,
                                  CellStoreShard&& shard) {
   if (shard.sparse.has_value()) return std::move(*shard.sparse);
   FAIRRANK_ASSIGN_OR_RETURN(
       CellStore store, CellStore::Make(plan.specs, plan.num_bins,
                                        plan.score_lo, plan.score_hi));
-  std::vector<int> key(plan.specs.size(), 0);
-  for (size_t cell = 0; cell < plan.num_dense_cells; ++cell) {
-    if (shard.counts[cell] == 0) continue;
-    size_t rest = cell;
-    for (size_t a = 0; a < plan.specs.size(); ++a) {
-      key[a] = static_cast<int>(rest / plan.strides[a]);
-      rest %= plan.strides[a];
-    }
-    std::vector<double> counts(
-        shard.bins.begin() +
-            static_cast<ptrdiff_t>(cell * static_cast<size_t>(plan.num_bins)),
-        shard.bins.begin() + static_cast<ptrdiff_t>(
-                                 (cell + 1) * static_cast<size_t>(plan.num_bins)));
-    FAIRRANK_ASSIGN_OR_RETURN(
-        Histogram histogram,
-        Histogram::FromCounts(plan.num_bins, plan.score_lo, plan.score_hi,
-                              std::move(counts), shard.clamped[cell]));
-    FAIRRANK_RETURN_NOT_OK(store.MergeCell(key, histogram, shard.counts[cell]));
+  const CellIndex index = IndexFromDenseShard(plan, shard);
+  const auto groups = index.groups.begin();
+  const ptrdiff_t width = static_cast<ptrdiff_t>(index.num_attrs());
+  for (size_t cell = 0; cell < index.num_cells(); ++cell) {
+    const auto key = groups + static_cast<ptrdiff_t>(cell) * width;
+    FAIRRANK_RETURN_NOT_OK(store.MergeCell(std::vector<int>(key, key + width),
+                                           index.HistogramOf({cell}),
+                                           index.sizes[cell]));
   }
   return store;
 }
 
 }  // namespace
+
+Histogram CellIndex::HistogramOf(const std::vector<size_t>& cells) const {
+  const size_t bins = static_cast<size_t>(num_bins);
+  std::vector<double> sum(bins, 0.0);
+  double clamped_sum = 0.0;
+  for (size_t cell : cells) {
+    const double* cell_counts = counts.data() + cell * bins;
+    for (size_t b = 0; b < bins; ++b) sum[b] += cell_counts[b];
+    clamped_sum += clamped[cell];
+  }
+  return Histogram::FromCounts(num_bins, score_lo, score_hi, std::move(sum),
+                               clamped_sum)
+      .value();
+}
+
+size_t CellIndex::CountOf(const std::vector<size_t>& cells) const {
+  size_t count = 0;
+  for (size_t cell : cells) count += sizes[cell];
+  return count;
+}
+
+StatusOr<CellIndex> BuildCellIndex(const Table& table,
+                                   const std::vector<double>& scores,
+                                   const std::vector<size_t>& columns,
+                                   int num_bins, double score_lo,
+                                   double score_hi,
+                                   const ExecutionContext& context) {
+  const IngestPlan plan =
+      MakeIngestPlan(table, columns, num_bins, score_lo, score_hi);
+  CellStoreShard shard;
+  RunIngestShard(table, scores, plan, context, 0, table.num_rows(), &shard);
+  FAIRRANK_RETURN_NOT_OK(shard.status);
+  if (shard.sparse.has_value()) return IndexFromStore(*shard.sparse);
+  return IndexFromDenseShard(plan, shard);
+}
 
 StatusOr<CellStore> BuildCellStoreParallel(const Table& table,
                                            const std::vector<double>& scores,
@@ -393,7 +459,12 @@ StatusOr<CellStore> BuildCellStoreParallel(const Table& table,
         "scores has " + std::to_string(scores.size()) + " entries, table has " +
         std::to_string(table.num_rows()) + " rows");
   }
-  FAIRRANK_ASSIGN_OR_RETURN(IngestPlan plan, MakeIngestPlan(table, options));
+  FAIRRANK_ASSIGN_OR_RETURN(
+      std::vector<size_t> columns,
+      table.schema().ResolveProtected(options.protected_attributes));
+  const IngestPlan plan =
+      MakeIngestPlan(table, std::move(columns), options.num_bins,
+                     options.score_lo, options.score_hi);
   // The factory validates the bin configuration once; shards inherit it.
   FAIRRANK_ASSIGN_OR_RETURN(
       CellStore result, CellStore::Make(plan.specs, options.num_bins,
@@ -469,67 +540,6 @@ std::string AggregatePartitionLabel(const std::vector<AttributeSpec>& specs,
   return label;
 }
 
-namespace {
-
-/// Internal partition: constraints plus the keys of the cells it unions.
-struct WorkingPartition {
-  std::vector<std::pair<size_t, int>> constraints;
-  std::vector<const std::pair<const std::vector<int>, StoreCell>*> cells;
-  Histogram histogram;
-  size_t size = 0;  ///< Exact observation count (sum of cell counts).
-
-  explicit WorkingPartition(int bins, double lo, double hi)
-      : histogram(bins, lo, hi) {}
-};
-
-StatusOr<double> AvgPairwise(const std::vector<WorkingPartition>& parts,
-                             const Divergence& divergence) {
-  if (parts.size() < 2) return 0.0;
-  double sum = 0.0;
-  size_t pairs = 0;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    for (size_t j = i + 1; j < parts.size(); ++j) {
-      FAIRRANK_ASSIGN_OR_RETURN(
-          double d,
-          divergence.Distance(parts[i].histogram, parts[j].histogram));
-      sum += d;
-      ++pairs;
-    }
-  }
-  return sum / static_cast<double>(pairs);
-}
-
-/// Splits every partition on spec `attr`; cells group by key[attr].
-StatusOr<std::vector<WorkingPartition>> SplitAllCells(
-    const CellStore& store, const std::vector<WorkingPartition>& parts,
-    size_t attr) {
-  std::vector<WorkingPartition> result;
-  for (const WorkingPartition& part : parts) {
-    std::map<int, WorkingPartition> children;
-    for (const auto* cell : part.cells) {
-      int group = cell->first[attr];
-      auto it = children.find(group);
-      if (it == children.end()) {
-        WorkingPartition child(store.num_bins(), store.score_lo(),
-                               store.score_hi());
-        child.constraints = part.constraints;
-        child.constraints.emplace_back(attr, group);
-        it = children.emplace(group, std::move(child)).first;
-      }
-      it->second.cells.push_back(cell);
-      it->second.size += cell->second.count;
-      FAIRRANK_RETURN_NOT_OK(
-          it->second.histogram.MergeWith(cell->second.histogram));
-    }
-    for (auto& [group, child] : children) {
-      result.push_back(std::move(child));
-    }
-  }
-  return result;
-}
-
-}  // namespace
-
 StatusOr<AggregateAuditResult> AuditAggregateBalanced(
     const CellStore& store, const std::string& divergence_name,
     const ExecutionContext& context) {
@@ -543,79 +553,42 @@ StatusOr<AggregateAuditResult> AuditAggregateBalanced(
   if (trace != nullptr && !trace->sampled()) trace = nullptr;
   ScopedSpan audit_span(trace, "aggregate_audit", context.trace_parent());
 
-  // Root partition holding every cell.
-  WorkingPartition root(store.num_bins(), store.score_lo(), store.score_hi());
-  for (const auto& cell : store.cells()) {
-    root.cells.push_back(&cell);
-    root.size += cell.second.count;
-    FAIRRANK_RETURN_NOT_OK(root.histogram.MergeWith(cell.second.histogram));
-  }
-  std::vector<WorkingPartition> current;
-  current.push_back(std::move(root));
-
-  std::vector<size_t> attrs(store.specs().size());
-  for (size_t i = 0; i < attrs.size(); ++i) attrs[i] = i;
-  std::vector<size_t> used;
-
-  // Balanced (Algorithm 1) over cells: pick the worst attribute, split all,
-  // stop when the average pairwise divergence no longer increases. The
-  // context is checked between candidate evaluations: the cell space is
-  // tiny next to ingest, but a server deadline still has to be able to cut
-  // a pathological cross-product short.
-  auto select_worst = [&](const std::vector<WorkingPartition>& parts,
-                          const std::vector<size_t>& remaining)
-      -> StatusOr<size_t> {
-    size_t best_pos = 0;
-    double best_avg = -1.0;
-    for (size_t pos = 0; pos < remaining.size(); ++pos) {
-      ExhaustionReason reason = context.Check();
-      if (reason != ExhaustionReason::kNone) return ExhaustionStatus(reason);
-      FAIRRANK_ASSIGN_OR_RETURN(
-          std::vector<WorkingPartition> candidate,
-          SplitAllCells(store, parts, remaining[pos]));
-      FAIRRANK_ASSIGN_OR_RETURN(double avg,
-                                AvgPairwise(candidate, *divergence));
-      if (avg > best_avg) {
-        best_avg = avg;
-        best_pos = pos;
-      }
-    }
-    return best_pos;
-  };
-
-  double current_avg = 0.0;
-  bool first = true;
-  while (!attrs.empty()) {
-    ExhaustionReason reason = context.Check();
-    if (reason != ExhaustionReason::kNone) return ExhaustionStatus(reason);
-    FAIRRANK_ASSIGN_OR_RETURN(size_t pos, select_worst(current, attrs));
-    size_t attr = attrs[pos];
-    attrs.erase(attrs.begin() + static_cast<ptrdiff_t>(pos));
-    FAIRRANK_ASSIGN_OR_RETURN(std::vector<WorkingPartition> children,
-                              SplitAllCells(store, current, attr));
-    FAIRRANK_ASSIGN_OR_RETURN(double children_avg,
-                              AvgPairwise(children, *divergence));
-    if (!first && current_avg >= children_avg) break;
-    current = std::move(children);
-    current_avg = children_avg;
-    used.push_back(attr);
-    first = false;
+  // The evaluation gate takes its bin configuration, deadline and
+  // cancellation from the store and the context; it stays serial, like the
+  // search evaluator's default.
+  EvaluatorOptions gate;
+  gate.num_bins = store.num_bins();
+  gate.score_lo = store.score_lo();
+  gate.score_hi = store.score_hi();
+  gate.divergence = divergence_name;
+  gate.deadline = context.deadline();
+  gate.cancel = context.cancel();
+  std::unique_ptr<AttributeSelector> selector = MakeWorstAttributeSelector();
+  const CellIndex index = IndexFromStore(store);
+  FAIRRANK_ASSIGN_OR_RETURN(
+      CellSearchResult search,
+      SearchBalancedCells(index, *selector, *divergence, gate,
+                          context.WithTrace(trace, audit_span.id())));
+  if (search.reason != ExhaustionReason::kNone) {
+    return ExhaustionStatus(search.reason);
   }
 
   AggregateAuditResult result;
-  result.unfairness = current_avg;
-  result.attributes_used = std::move(used);
-  result.partitions.reserve(current.size());
+  result.unfairness = search.unfairness;
+  result.attributes_used = std::move(search.attributes_used);
+  result.partitions.reserve(search.partitions.size());
   size_t covered = 0;
-  for (WorkingPartition& part : current) {
+  for (const CellPartition& part : search.partitions) {
     AggregatePartition out;
-    out.constraints = std::move(part.constraints);
+    for (const SplitStep& step : part.path) {
+      out.constraints.emplace_back(step.attr_index, step.group_index);
+    }
     // Exact count, not histogram mass: clamped out-of-range scores (or
     // future sketch mass) would silently desync the latter from
     // num_observations().
-    out.size = part.size;
-    covered += part.size;
-    out.histogram = std::move(part.histogram);
+    out.size = index.CountOf(part.cells);
+    covered += out.size;
+    out.histogram = index.HistogramOf(part.cells);
     result.partitions.push_back(std::move(out));
   }
   if (covered != store.num_observations()) {

@@ -11,6 +11,7 @@
 #include "common/status.h"
 #include "data/attribute.h"
 #include "data/table.h"
+#include "fairness/partition.h"
 #include "stats/divergence.h"
 #include "stats/histogram.h"
 
@@ -25,9 +26,12 @@ namespace fairrank {
 /// and million-worker audits whose ingest is the only O(n) stage
 /// (BuildCellStoreParallel below).
 ///
-/// CellStore accumulates the cells; AuditAggregate runs the paper's
-/// balanced algorithm directly on them and provably matches the table-based
-/// audit with the same bin configuration (tested in aggregate_test).
+/// CellStore accumulates the cells. SearchBalancedCells (balanced.h) is
+/// the one implementation of the balanced algorithm: the `balanced` and
+/// `r-balanced` algorithms and AuditAggregateBalanced all run it over a
+/// CellIndex, so the aggregate audit matches the table-based balanced audit
+/// with the same bins by construction, bit for bit
+/// (tests/balanced_oracle_test checks both against the row-level loop).
 
 /// One demographic cell: the score histogram of every observation whose
 /// protected-group vector equals the cell key, plus the *exact* number of
@@ -144,6 +148,47 @@ StatusOr<CellStore> BuildCellStoreParallel(
     const CellStoreIngestOptions& options = CellStoreIngestOptions(),
     const ExecutionContext& context = ExecutionContext::Unbounded());
 
+/// The non-empty demographic cells over a list of A attributes, in
+/// ascending key order, flattened for search: cell c has group
+/// groups[c·A + a] on attribute a, bin counts counts[c·B + b] over B bins,
+/// clamped (out-of-range) mass clamped[c] and sizes[c] observations.
+struct CellIndex {
+  std::vector<int> num_groups;  ///< Cardinality of each attribute.
+  int num_bins = 1;
+  double score_lo = 0.0;
+  double score_hi = 1.0;
+  std::vector<int> groups;
+  std::vector<double> counts;
+  std::vector<double> clamped;
+  std::vector<size_t> sizes;
+
+  size_t num_attrs() const { return num_groups.size(); }
+  size_t num_cells() const { return sizes.size(); }
+  /// The bin-wise sum of `cells`' histograms: for whole-number counts
+  /// bit-identical to the histogram of their rows.
+  Histogram HistogramOf(const std::vector<size_t>& cells) const;
+  /// Exact observation count of `cells`.
+  size_t CountOf(const std::vector<size_t>& cells) const;
+};
+
+/// A partition of a search over a CellIndex: its split path (attribute
+/// positions of the index) and the cells it unions.
+struct CellPartition {
+  std::vector<SplitStep> path;
+  std::vector<size_t> cells;
+};
+
+/// The CellIndex of table columns `columns` under `scores`, from one pass
+/// of BuildCellStoreParallel's shard code over the rows: flat arrays
+/// charged to the context's memory budget, deadline and cancellation
+/// checked between row blocks (their ExhaustionStatus is returned).
+StatusOr<CellIndex> BuildCellIndex(const Table& table,
+                                   const std::vector<double>& scores,
+                                   const std::vector<size_t>& columns,
+                                   int num_bins, double score_lo,
+                                   double score_hi,
+                                   const ExecutionContext& context);
+
 /// One partition of an aggregate audit: which attribute/group constraints
 /// define it, its histogram, and how many workers it covers.
 struct AggregatePartition {
@@ -165,22 +210,33 @@ struct AggregateAuditResult {
   std::vector<size_t> attributes_used;
 };
 
+/// Run metadata the aggregate formatters render alongside the result (the
+/// CellStore itself carries no timing or provenance).
+struct AggregateReportInfo {
+  std::string scoring_function;
+  std::string divergence = "emd";
+  int ingest_threads = 1;
+  double ingest_seconds = 0.0;
+  double audit_seconds = 0.0;
+};
+
 /// Human-readable label of an aggregate partition ("Gender=Male &
 /// Country=India", "<all>").
 std::string AggregatePartitionLabel(const std::vector<AttributeSpec>& specs,
                                     const AggregatePartition& partition);
 
 /// Runs the paper's balanced algorithm (worst-attribute greedy with the
-/// global stopping condition) directly on the store's cells, using
-/// `divergence` ("emd" reproduces the paper). Empty cells never exist (the
-/// store only materializes observed combinations), matching the splitter's
-/// empty-group behaviour.
+/// global stopping condition; SearchBalancedCells) on the store's cells,
+/// using `divergence` ("emd" reproduces the paper). Empty cells never exist
+/// (the store only materializes observed combinations), matching the
+/// splitter's empty-group behaviour.
 ///
 /// The partition sizes come from the cells' exact counts and are verified
 /// to sum to store.num_observations() (Internal error on desync). The
-/// optional context bounds the search: deadline / cancellation / budget
-/// exhaustion between split evaluations returns the matching
-/// ExhaustionStatus instead of an audit.
+/// optional context bounds the search like any other: each selection round
+/// charges one node per remaining attribute, and deadline / cancellation /
+/// budget exhaustion returns the matching ExhaustionStatus instead of an
+/// audit.
 StatusOr<AggregateAuditResult> AuditAggregateBalanced(
     const CellStore& store, const std::string& divergence = "emd",
     const ExecutionContext& context = ExecutionContext::Unbounded());

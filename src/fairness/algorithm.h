@@ -1,6 +1,7 @@
 #ifndef FAIRRANK_FAIRNESS_ALGORITHM_H_
 #define FAIRRANK_FAIRNESS_ALGORITHM_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,21 +14,27 @@
 
 namespace fairrank {
 
+/// Scores candidate `pos` of a global selection round: the average pairwise
+/// divergence of the partitioning that splitting on that candidate yields.
+using CandidateScorer = std::function<StatusOr<double>(size_t pos)>;
+
 /// Strategy for picking the next attribute to split on. The paper's
 /// algorithms pick the *worst* attribute (highest resulting average pairwise
 /// EMD); the r-balanced / r-unbalanced baselines pick uniformly at random.
 ///
-/// Both methods return a *position into `attrs`* (not an attribute index),
-/// so callers can erase the chosen entry.
+/// Both methods return a *position* (into the candidates, not an attribute
+/// index), so callers can erase the chosen entry.
 class AttributeSelector {
  public:
   virtual ~AttributeSelector() = default;
 
-  /// Picks the attribute for a global split of `current` (Algorithm 1's
-  /// worstAttribute(current, f, A)). `attrs` must be non-empty.
-  virtual StatusOr<size_t> SelectGlobal(const UnfairnessEvaluator& eval,
-                                        const Partitioning& current,
-                                        const std::vector<size_t>& attrs) = 0;
+  /// Picks one of `num_candidates` global splits (Algorithm 1's
+  /// worstAttribute(current, f, A)), calling `score` for the candidates it
+  /// weighs. The caller decides what a candidate is, so row searches and
+  /// searches over demographic cells share one selection rule.
+  /// `num_candidates` must be non-zero.
+  virtual StatusOr<size_t> SelectGlobal(size_t num_candidates,
+                                        const CandidateScorer& score) = 0;
 
   /// Picks the attribute for a local split of one partition against its
   /// siblings (Algorithm 2's worstAttribute(current, f, A)). `attrs` must be
@@ -38,12 +45,12 @@ class AttributeSelector {
                                        const std::vector<size_t>& attrs) = 0;
 };
 
-/// Greedy selector: tries every remaining attribute and returns the one
-/// whose split yields the highest average pairwise divergence (globally for
-/// SelectGlobal; children-vs-siblings for SelectLocal). Ties break toward
-/// the earliest position, keeping runs deterministic. SelectGlobal counts
-/// averages within 1e-12 relative of each other as ties, so the rounding of
-/// the closed-form "emd" average cannot flip a split.
+/// Greedy selector: scores every candidate and returns the one with the
+/// highest average pairwise divergence (globally for SelectGlobal;
+/// children-vs-siblings for SelectLocal). Ties break toward the earliest
+/// position, keeping runs deterministic. SelectGlobal counts averages
+/// within 1e-12 relative of each other as ties, so the rounding of the
+/// closed-form "emd" average cannot flip a split.
 std::unique_ptr<AttributeSelector> MakeWorstAttributeSelector();
 
 /// Uniform-random selector for the r-* baselines. Deterministic given the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
@@ -41,26 +42,6 @@ struct AuditMetrics {
 
 }  // namespace
 
-StatusOr<std::vector<size_t>> FairnessAuditor::ResolveProtectedAttributes(
-    const AuditOptions& options) const {
-  const Schema& schema = table_->schema();
-  if (options.protected_attributes.empty()) {
-    std::vector<size_t> indices = schema.ProtectedIndices();
-    if (indices.empty()) {
-      return Status::FailedPrecondition(
-          "schema has no protected attributes and none were requested");
-    }
-    return indices;
-  }
-  std::vector<size_t> indices;
-  indices.reserve(options.protected_attributes.size());
-  for (const std::string& name : options.protected_attributes) {
-    FAIRRANK_ASSIGN_OR_RETURN(size_t index, schema.FindIndex(name));
-    indices.push_back(index);
-  }
-  return indices;
-}
-
 StatusOr<AuditResult> FairnessAuditor::Audit(const ScoringFunction& fn,
                                              const AuditOptions& options) const {
   FAIRRANK_ASSIGN_OR_RETURN(std::vector<double> scores,
@@ -74,8 +55,9 @@ StatusOr<AuditResult> FairnessAuditor::AuditScores(
   if (table_->num_rows() == 0) {
     return Status::FailedPrecondition("cannot audit an empty table");
   }
-  FAIRRANK_ASSIGN_OR_RETURN(std::vector<size_t> attrs,
-                            ResolveProtectedAttributes(options));
+  FAIRRANK_ASSIGN_OR_RETURN(
+      std::vector<size_t> attrs,
+      table_->schema().ResolveProtected(options.protected_attributes));
 
   // Two evaluators: the *search* one carries the deadline / cancellation so
   // in-flight pairwise loops stop, while the *reporting* one stays unbounded
@@ -180,6 +162,44 @@ StatusOr<AuditResult> FairnessAuditor::AuditScores(
                    });
   result.partitioning = std::move(partitioning);
   return result;
+}
+
+StatusOr<AggregateAudit> FairnessAuditor::AuditAggregate(
+    const ScoringFunction& fn, const AuditOptions& options,
+    int ingest_threads) const {
+  if (options.algorithm != "balanced") {
+    return Status::InvalidArgument(
+        "aggregate audits run the balanced algorithm only, not '" +
+        options.algorithm + "'");
+  }
+  FAIRRANK_ASSIGN_OR_RETURN(std::vector<double> scores, fn.ScoreAll(*table_));
+  CellStoreIngestOptions ingest;
+  ingest.num_bins = options.evaluator.num_bins;
+  ingest.score_lo = options.evaluator.score_lo;
+  ingest.score_hi = options.evaluator.score_hi;
+  ingest.num_threads = ingest_threads;
+  ingest.protected_attributes = options.protected_attributes;
+
+  ResourceBudget budget = options.limits.MakeBudget();
+  ExecutionContext context = options.limits.MakeContext(&budget);
+
+  AggregateReportInfo info;
+  info.scoring_function = fn.Name();
+  info.divergence = options.evaluator.divergence;
+  info.ingest_threads =
+      ingest_threads <= 0 ? HardwareThreads() : ingest_threads;
+  Stopwatch ingest_timer;
+  FAIRRANK_ASSIGN_OR_RETURN(
+      CellStore store,
+      BuildCellStoreParallel(*table_, scores, ingest, context));
+  info.ingest_seconds = ingest_timer.ElapsedSeconds();
+
+  Stopwatch audit_timer;
+  FAIRRANK_ASSIGN_OR_RETURN(
+      AggregateAuditResult result,
+      AuditAggregateBalanced(store, options.evaluator.divergence, context));
+  info.audit_seconds = audit_timer.ElapsedSeconds();
+  return AggregateAudit{std::move(store), std::move(result), std::move(info)};
 }
 
 }  // namespace fairrank

@@ -7,6 +7,7 @@
 #include "common/budget.h"
 #include "common/status.h"
 #include "data/table.h"
+#include "fairness/aggregate.h"
 #include "fairness/evaluator.h"
 #include "fairness/partition.h"
 #include "fairness/registry.h"
@@ -87,6 +88,14 @@ struct AuditResult {
   uint64_t out_of_range_scores = 0;
 };
 
+/// An aggregate (cell-store) audit ready to render: the store, the audit
+/// over its cells and the run metadata.
+struct AggregateAudit {
+  CellStore store;
+  AggregateAuditResult result;
+  AggregateReportInfo info;
+};
+
 /// The library's front door: audits a scoring function over a worker table.
 ///
 ///   FairnessAuditor auditor(&workers);
@@ -108,13 +117,21 @@ class FairnessAuditor {
                                     const std::string& score_name,
                                     const AuditOptions& options) const;
 
+  /// The cell-store route of `fairaudit audit --aggregate` and
+  /// `fairauditd /audit?aggregate=1`: scores the table with `fn`, ingests
+  /// it with BuildCellStoreParallel on `ingest_threads` threads (<= 0 means
+  /// HardwareThreads()) over the options' bins and protected attributes,
+  /// and runs AuditAggregateBalanced with the options' divergence. One
+  /// budget and context from `options.limits` bound both stages. The cells
+  /// only support the balanced algorithm: any other `options.algorithm`
+  /// fails with InvalidArgument naming it.
+  StatusOr<AggregateAudit> AuditAggregate(const ScoringFunction& fn,
+                                          const AuditOptions& options,
+                                          int ingest_threads) const;
+
   const Table& table() const { return *table_; }
 
  private:
-  /// Resolves AuditOptions::protected_attributes to schema indices.
-  StatusOr<std::vector<size_t>> ResolveProtectedAttributes(
-      const AuditOptions& options) const;
-
   const Table* table_;
 };
 

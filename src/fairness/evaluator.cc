@@ -119,7 +119,165 @@ double AveragePairwiseEmd(const std::vector<Histogram>& histograms) {
   return sum * histograms.front().bin_width() / num_pairs;
 }
 
+/// The histograms one pair loop compares; for "emd" also their PMFs,
+/// normalized once (empty for an empty histogram, whose pairs fall back to
+/// Divergence::Distance and its error).
+struct PairInputs {
+  PairInputs(std::vector<Histogram> histograms_in, const Divergence& d)
+      : histograms(std::move(histograms_in)),
+        divergence(d),
+        emd(d.Name() == "emd"),
+        faults(fault::armed()) {
+    if (!emd) return;
+    pmfs.reserve(histograms.size());
+    for (const Histogram& histogram : histograms) {
+      pmfs.push_back(histogram.empty() ? std::vector<double>()
+                                       : histogram.Normalized());
+    }
+  }
+
+  /// Divergence of histograms i and j, after the fault-injection hook. Does
+  /// not bump the pipeline counter; callers count per call.
+  StatusOr<double> Distance(size_t i, size_t j) const {
+    if (faults && fault::OnDivergenceEval()) return DivergenceFault();
+    if (emd && !pmfs[i].empty() && !pmfs[j].empty()) {
+      return Emd1DMass(pmfs[i], pmfs[j], histograms[i].bin_width());
+    }
+    return divergence.Distance(histograms[i], histograms[j]);
+  }
+
+  std::vector<Histogram> histograms;
+  std::vector<std::vector<double>> pmfs;
+  const Divergence& divergence;
+  /// The divergence is the paper's 1-D EMD: pairs run on PMFs.
+  bool emd;
+  /// fault::armed(), read once per call rather than once per pair.
+  bool faults;
+};
+
+/// All pairwise divergences of `in`'s k >= 2 histograms, flattened in
+/// upper-triangle order (see PairwiseDistances).
+StatusOr<std::vector<double>> AllPairDistances(
+    const PairInputs& in, const EvaluatorOptions& options) {
+  const size_t k = in.histograms.size();
+  const size_t num_pairs = k * (k - 1) / 2;
+  // Flatten the upper triangle so pair m maps to (i, j) and distances land
+  // in a fixed slot — the final reduction order is deterministic regardless
+  // of thread count.
+  std::vector<double> distances(num_pairs, 0.0);
+  // The hot case — "emd", no empty partition, faults off — needs no Status
+  // per pair: PairInputs::Distance would take the same Emd1DMass branch.
+  const bool plain_emd =
+      in.emd && !in.faults &&
+      std::none_of(in.pmfs.begin(), in.pmfs.end(),
+                   [](const std::vector<double>& pmf) { return pmf.empty(); });
+  const double width = in.histograms.front().bin_width();
+  PairLoop loop(options);
+  std::atomic<uint64_t> computed{0};
+  Status first_error;
+  std::mutex error_mutex;
+  // Once any pair fails, sibling chunks stop at their next iteration instead
+  // of burning through the rest of their range — the result is discarded
+  // anyway.
+  std::atomic<bool> abort{false};
+  bool complete = true;
+  try {
+    complete = ParallelForCancellable(
+        num_pairs, options.num_threads, options.cancel, options.deadline,
+        [&](size_t begin, size_t end) {
+          // Locate (i, j) for `begin`, then walk forward.
+          size_t m = 0;
+          size_t i = 0;
+          size_t j = 1;
+          // Advance row-by-row; k is small relative to pair count.
+          while (m + (k - 1 - i) <= begin) {
+            m += k - 1 - i;
+            ++i;
+          }
+          j = i + 1 + (begin - m);
+          size_t p = begin;
+          for (; p < end; ++p) {
+            if (abort.load(std::memory_order_relaxed)) break;
+            if (plain_emd) {
+              distances[p] = Emd1DMass(in.pmfs[i], in.pmfs[j], width);
+            } else {
+              StatusOr<double> d = in.Distance(i, j);
+              if (!d.ok()) {
+                abort.store(true, std::memory_order_relaxed);
+                std::lock_guard<std::mutex> lock(error_mutex);
+                if (first_error.ok()) first_error = d.status();
+                break;
+              }
+              distances[p] = *d;
+            }
+            if (++j == k) {
+              ++i;
+              j = i + 1;
+            }
+          }
+          computed.fetch_add(p - begin, std::memory_order_relaxed);
+        });
+  } catch (const std::exception& e) {
+    // Worker exceptions (including injected faults) are captured by
+    // ParallelFor and rethrown here; keep them inside the Status API.
+    loop.pairs = computed.load();
+    return Status::Internal(std::string("pairwise unfairness worker: ") +
+                            e.what());
+  }
+  loop.pairs = computed.load();
+  FAIRRANK_RETURN_NOT_OK(first_error);
+  if (!complete) {
+    return options.cancel.cancel_requested()
+               ? Status::Cancelled("pairwise unfairness cancelled")
+               : Status::DeadlineExceeded(
+                     "deadline expired during pairwise unfairness");
+  }
+  return distances;
+}
+
 }  // namespace
+
+StatusOr<double> AveragePairwiseDivergence(std::vector<Histogram> histograms,
+                                           const Divergence& divergence,
+                                           const EvaluatorOptions& options) {
+  if (histograms.size() < 2) return 0.0;
+  // The closed form covers exactly the pairs the pair loop would run
+  // through Emd1DMass without a Status: "emd", faults off, no empty
+  // histogram.
+  const bool closed_form =
+      divergence.Name() == "emd" && !fault::armed() &&
+      std::none_of(histograms.begin(), histograms.end(),
+                   [](const Histogram& h) { return h.empty(); });
+  if (!closed_form) {
+    FAIRRANK_ASSIGN_OR_RETURN(
+        std::vector<double> distances,
+        AllPairDistances(PairInputs(std::move(histograms), divergence),
+                         options));
+    double sum = 0.0;
+    for (double d : distances) sum += d;
+    return sum / static_cast<double>(distances.size());
+  }
+  // Same checks, statuses and messages as the pair loop's stop between
+  // blocks; the kernel below is short enough to run uninterrupted.
+  if (options.cancel.cancel_requested()) {
+    return Status::Cancelled("pairwise unfairness cancelled");
+  }
+  if (options.deadline.Expired()) {
+    return Status::DeadlineExceeded(
+        "deadline expired during pairwise unfairness");
+  }
+  TraceEvent event(options, "emd");
+  return AveragePairwiseEmd(histograms);
+}
+
+void RecordHistogramBuilds(const EvaluatorOptions& options, uint64_t n,
+                           uint64_t start_ns) {
+  PipelineMetrics::Get().histogram_builds->Increment(n);
+  if (options.trace != nullptr) {
+    options.trace->AddEvent("histogram", options.trace_parent,
+                            TraceNowNanos() - start_ns);
+  }
+}
 
 StatusOr<UnfairnessEvaluator> UnfairnessEvaluator::Make(
     const Table* table, std::vector<double> scores,
@@ -188,47 +346,26 @@ Histogram UnfairnessEvaluator::Build(const Partition& part) const {
       .value();
 }
 
-UnfairnessEvaluator::Prepared UnfairnessEvaluator::Prepare(
-    const std::vector<const Partition*>& parts, bool normalize) const {
-  TraceEvent event(options_, "histogram");
-  Prepared prepared;
-  prepared.faults = fault::armed();
-  prepared.histograms.reserve(parts.size());
-  for (const Partition* part : parts) {
-    prepared.histograms.push_back(Build(*part));
-  }
-  if (emd_ && normalize) {
-    prepared.pmfs.reserve(parts.size());
-    for (const Histogram& histogram : prepared.histograms) {
-      prepared.pmfs.push_back(histogram.empty() ? std::vector<double>()
-                                                : histogram.Normalized());
-    }
-  }
-  PipelineMetrics::Get().histogram_builds->Increment(parts.size());
-  return prepared;
-}
-
-StatusOr<double> UnfairnessEvaluator::PairDistance(const Prepared& prepared,
-                                                   size_t i, size_t j) const {
-  if (prepared.faults && fault::OnDivergenceEval()) return DivergenceFault();
-  if (emd_ && !prepared.pmfs[i].empty() && !prepared.pmfs[j].empty()) {
-    return Emd1DMass(prepared.pmfs[i], prepared.pmfs[j],
-                     prepared.histograms[i].bin_width());
-  }
-  return divergence_->Distance(prepared.histograms[i],
-                               prepared.histograms[j]);
+std::vector<Histogram> UnfairnessEvaluator::BuildHistograms(
+    const std::vector<const Partition*>& parts) const {
+  const uint64_t start_ns = options_.trace != nullptr ? TraceNowNanos() : 0;
+  std::vector<Histogram> histograms;
+  histograms.reserve(parts.size());
+  for (const Partition* part : parts) histograms.push_back(Build(*part));
+  RecordHistogramBuilds(options_, parts.size(), start_ns);
+  return histograms;
 }
 
 Histogram UnfairnessEvaluator::BuildHistogram(
     const Partition& partition) const {
-  return std::move(Prepare({&partition}).histograms.front());
+  return std::move(BuildHistograms({&partition}).front());
 }
 
 StatusOr<double> UnfairnessEvaluator::Distance(const Partition& a,
                                                const Partition& b) const {
-  const Prepared prepared = Prepare({&a, &b});
+  const PairInputs in(BuildHistograms({&a, &b}), *divergence_);
   PairLoop loop(options_);
-  StatusOr<double> d = PairDistance(prepared, 0, 1);
+  StatusOr<double> d = in.Distance(0, 1);
   if (d.ok()) ++loop.pairs;
   return d;
 }
@@ -244,123 +381,22 @@ StatusOr<double> UnfairnessEvaluator::Distance(const Histogram& a,
 
 StatusOr<std::vector<double>> UnfairnessEvaluator::PairwiseDistances(
     const Partitioning& partitioning) const {
-  std::vector<double> distances;
-  if (partitioning.size() < 2) return distances;
-  const size_t k = partitioning.size();
+  if (partitioning.size() < 2) return std::vector<double>();
   std::vector<const Partition*> parts;
-  parts.reserve(k);
+  parts.reserve(partitioning.size());
   for (const Partition& p : partitioning) parts.push_back(&p);
-  const Prepared prepared = Prepare(parts);
-
-  const size_t num_pairs = k * (k - 1) / 2;
-  // Flatten the upper triangle so pair m maps to (i, j) and distances land
-  // in a fixed slot — the final reduction order is deterministic regardless
-  // of thread count.
-  distances.assign(num_pairs, 0.0);
-  // The hot case — "emd", no empty partition, faults off — needs no Status
-  // per pair: PairDistance would take the same Emd1DMass branch.
-  const bool plain_emd =
-      emd_ && !prepared.faults &&
-      std::none_of(prepared.pmfs.begin(), prepared.pmfs.end(),
-                   [](const std::vector<double>& pmf) { return pmf.empty(); });
-  const double width = prepared.histograms.front().bin_width();
-  PairLoop loop(options_);
-  std::atomic<uint64_t> computed{0};
-  Status first_error;
-  std::mutex error_mutex;
-  // Once any pair fails, sibling chunks stop at their next iteration instead
-  // of burning through the rest of their range — the result is discarded
-  // anyway.
-  std::atomic<bool> abort{false};
-  bool complete = true;
-  try {
-    complete = ParallelForCancellable(
-        num_pairs, options_.num_threads, options_.cancel, options_.deadline,
-        [&](size_t begin, size_t end) {
-          // Locate (i, j) for `begin`, then walk forward.
-          size_t m = 0;
-          size_t i = 0;
-          size_t j = 1;
-          // Advance row-by-row; k is small relative to pair count.
-          while (m + (k - 1 - i) <= begin) {
-            m += k - 1 - i;
-            ++i;
-          }
-          j = i + 1 + (begin - m);
-          size_t p = begin;
-          for (; p < end; ++p) {
-            if (abort.load(std::memory_order_relaxed)) break;
-            if (plain_emd) {
-              distances[p] =
-                  Emd1DMass(prepared.pmfs[i], prepared.pmfs[j], width);
-            } else {
-              StatusOr<double> d = PairDistance(prepared, i, j);
-              if (!d.ok()) {
-                abort.store(true, std::memory_order_relaxed);
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (first_error.ok()) first_error = d.status();
-                break;
-              }
-              distances[p] = *d;
-            }
-            if (++j == k) {
-              ++i;
-              j = i + 1;
-            }
-          }
-          computed.fetch_add(p - begin, std::memory_order_relaxed);
-        });
-  } catch (const std::exception& e) {
-    // Worker exceptions (including injected faults) are captured by
-    // ParallelFor and rethrown here; keep them inside the Status API.
-    loop.pairs = computed.load();
-    return Status::Internal(std::string("pairwise unfairness worker: ") +
-                            e.what());
-  }
-  loop.pairs = computed.load();
-  FAIRRANK_RETURN_NOT_OK(first_error);
-  if (!complete) {
-    return options_.cancel.cancel_requested()
-               ? Status::Cancelled("pairwise unfairness cancelled")
-               : Status::DeadlineExceeded(
-                     "deadline expired during pairwise unfairness");
-  }
-  return distances;
+  return AllPairDistances(PairInputs(BuildHistograms(parts), *divergence_),
+                          options_);
 }
 
 StatusOr<double> UnfairnessEvaluator::AveragePairwiseUnfairness(
     const Partitioning& partitioning) const {
   if (partitioning.size() < 2) return 0.0;
-  // The closed form covers exactly the pairs PairwiseDistances would run
-  // through Emd1DMass without a Status: "emd", faults off, no empty
-  // partition (a partition's histogram is empty iff it has no rows).
-  const bool closed_form =
-      emd_ && !fault::armed() &&
-      std::none_of(partitioning.begin(), partitioning.end(),
-                   [](const Partition& p) { return p.rows.empty(); });
-  if (!closed_form) {
-    FAIRRANK_ASSIGN_OR_RETURN(std::vector<double> distances,
-                              PairwiseDistances(partitioning));
-    double sum = 0.0;
-    for (double d : distances) sum += d;
-    return sum / static_cast<double>(distances.size());
-  }
   std::vector<const Partition*> parts;
   parts.reserve(partitioning.size());
   for (const Partition& p : partitioning) parts.push_back(&p);
-  const std::vector<Histogram> histograms =
-      Prepare(parts, /*normalize=*/false).histograms;
-  // Same checks, statuses and messages as the pair loop's stop between
-  // blocks; the kernel below is short enough to run uninterrupted.
-  if (options_.cancel.cancel_requested()) {
-    return Status::Cancelled("pairwise unfairness cancelled");
-  }
-  if (options_.deadline.Expired()) {
-    return Status::DeadlineExceeded(
-        "deadline expired during pairwise unfairness");
-  }
-  TraceEvent event(options_, "emd");
-  return AveragePairwiseEmd(histograms);
+  return AveragePairwiseDivergence(BuildHistograms(parts), *divergence_,
+                                   options_);
 }
 
 StatusOr<std::vector<DivergentPair>> TopDivergentPairs(
@@ -402,11 +438,11 @@ StatusOr<double> UnfairnessEvaluator::AverageWithSiblings(
   if (siblings.empty()) return 0.0;
   std::vector<const Partition*> parts{&current};
   for (const Partition& s : siblings) parts.push_back(&s);
-  const Prepared prepared = Prepare(parts);
+  const PairInputs in(BuildHistograms(parts), *divergence_);
   PairLoop loop(options_);
   double sum = 0.0;
   for (size_t j = 1; j < parts.size(); ++j) {
-    FAIRRANK_ASSIGN_OR_RETURN(double d, PairDistance(prepared, 0, j));
+    FAIRRANK_ASSIGN_OR_RETURN(double d, in.Distance(0, j));
     ++loop.pairs;
     sum += d;
   }
@@ -423,11 +459,11 @@ StatusOr<double> UnfairnessEvaluator::AverageChildrenWithSiblings(
   parts.reserve(total);
   for (const Partition& p : children) parts.push_back(&p);
   for (const Partition& p : siblings) parts.push_back(&p);
-  const Prepared prepared = Prepare(parts);
+  const PairInputs in(BuildHistograms(parts), *divergence_);
   PairLoop loop(options_);
   double sum = 0.0;
   auto add = [&](size_t i, size_t j) -> Status {
-    FAIRRANK_ASSIGN_OR_RETURN(double d, PairDistance(prepared, i, j));
+    FAIRRANK_ASSIGN_OR_RETURN(double d, in.Distance(i, j));
     ++loop.pairs;
     sum += d;
     return Status::OK();

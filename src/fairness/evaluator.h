@@ -93,13 +93,11 @@ struct EvaluatorOptions {
 /// Algorithm 2 needs.
 ///
 /// There is one evaluation path and it memoizes nothing: each public call
-/// builds the histograms it needs once, straight from rows. For the paper's
-/// "emd" divergence, AveragePairwiseUnfairness then runs a closed form in
-/// O(B·k log k) (sorted CDF columns; see evaluator.cc), within 1e-14
-/// relative of an exact average, except when faults are armed or a
-/// partition is empty, where it runs the pair loop. Every other call runs a
-/// pair loop: for "emd" Emd1DMass over PMFs normalized once per call, with
-/// no allocation per pair; other divergences go through
+/// builds the histograms it needs once, straight from rows, and
+/// AveragePairwiseUnfairness then hands them to AveragePairwiseDivergence
+/// below, the gate that searches over demographic cells share. Every other
+/// call runs a pair loop: for "emd" Emd1DMass over PMFs normalized once per
+/// call, with no allocation per pair; other divergences go through
 /// Divergence::Distance. The pair loops are bit-identical to each other:
 /// the same counts[i] / total PMFs, the same Emd1DMass, the same summation
 /// order. Searches that revisit partitions (exhaustive) keep their own memo
@@ -127,9 +125,9 @@ class UnfairnessEvaluator {
   StatusOr<double> Distance(const Histogram& a, const Histogram& b) const;
 
   /// unfairness(P, f): average pairwise divergence over all partition pairs.
-  /// A partitioning with fewer than two partitions has unfairness 0. For
-  /// "emd" a closed form (no per-pair work, nothing added to the pairwise
-  /// computation counter); otherwise the mean of PairwiseDistances.
+  /// A partitioning with fewer than two partitions has unfairness 0.
+  /// Builds the partitions' histograms and runs AveragePairwiseDivergence
+  /// with this evaluator's divergence and options.
   StatusOr<double> AveragePairwiseUnfairness(
       const Partitioning& partitioning) const;
 
@@ -162,16 +160,6 @@ class UnfairnessEvaluator {
   const Divergence& divergence() const { return *divergence_; }
 
  private:
-  /// The histograms one call compares, built once each; for "emd" also
-  /// their PMFs (empty for an empty histogram, whose pairs fall back to
-  /// Divergence::Distance and its error).
-  struct Prepared {
-    std::vector<Histogram> histograms;
-    std::vector<std::vector<double>> pmfs;
-    /// fault::armed(), read once per call rather than once per pair.
-    bool faults = false;
-  };
-
   UnfairnessEvaluator(const Table* table, std::vector<double> scores,
                       std::vector<uint16_t> bins,
                       const EvaluatorOptions& options,
@@ -182,21 +170,15 @@ class UnfairnessEvaluator {
         bins_(std::move(bins)),
         options_(options),
         divergence_(std::move(divergence)),
-        emd_(divergence_->Name() == "emd"),
         num_out_of_range_(num_out_of_range) {}
 
   /// The score histogram of `part`, built from its rows.
   Histogram Build(const Partition& part) const;
 
-  /// Builds the histograms of `parts`, in order; for "emd" with `normalize`
-  /// also their PMFs.
-  Prepared Prepare(const std::vector<const Partition*>& parts,
-                   bool normalize = true) const;
-
-  /// Divergence of prepared histograms i and j, after the fault-injection
-  /// hook. Does not bump the pipeline counter; callers count per call.
-  StatusOr<double> PairDistance(const Prepared& prepared, size_t i,
-                                size_t j) const;
+  /// Builds the histograms of `parts`, in order, as one "histogram" trace
+  /// event, and counts them in the pipeline counter.
+  std::vector<Histogram> BuildHistograms(
+      const std::vector<const Partition*>& parts) const;
 
   const Table* table_;
   std::vector<double> scores_;
@@ -205,10 +187,26 @@ class UnfairnessEvaluator {
   std::vector<uint16_t> bins_;
   EvaluatorOptions options_;
   std::unique_ptr<Divergence> divergence_;
-  /// The divergence is the paper's 1-D EMD: pairs run on PMFs.
-  bool emd_ = false;
   size_t num_out_of_range_ = 0;
 };
+
+/// The evaluation gate every search shares: unfairness (Definition 2) of
+/// the partitions with score histograms `histograms`, 0 for fewer than two.
+/// For "emd" with faults off and no empty histogram, a closed form in
+/// O(B·k log k) (sorted CDF columns; see evaluator.cc) within 1e-14
+/// relative of an exact average; otherwise the mean of PairwiseDistances'
+/// pair loop, fault hook included. Honors the options' deadline,
+/// cancellation (DeadlineExceeded / Cancelled), threads and trace, and
+/// counts its pairs; the caller counts the histograms.
+StatusOr<double> AveragePairwiseDivergence(std::vector<Histogram> histograms,
+                                           const Divergence& divergence,
+                                           const EvaluatorOptions& options);
+
+/// Records `n` partition histograms built without an evaluator (summed from
+/// cells) as the evaluator records its own: in the pipeline counter and as
+/// one "histogram" trace event begun at `start_ns` under `options.trace`.
+void RecordHistogramBuilds(const EvaluatorOptions& options, uint64_t n,
+                           uint64_t start_ns);
 
 /// One highly divergent partition pair — the "who exactly is treated
 /// differently from whom" answer an auditor reads off first.

@@ -58,16 +58,6 @@ std::string JsonEscape(const std::string& s);
 /// }
 std::string FormatAuditJson(const AuditResult& result);
 
-/// Run metadata the aggregate formatters render alongside the result (the
-/// CellStore itself carries no timing or provenance).
-struct AggregateReportInfo {
-  std::string scoring_function;
-  std::string divergence = "emd";
-  int ingest_threads = 1;
-  double ingest_seconds = 0.0;
-  double audit_seconds = 0.0;
-};
-
 /// Human-readable report of an aggregate (cell-store) audit: headline
 /// (function, unfairness, cells/observations, ingest + audit timing) plus a
 /// partition table, mirroring FormatAuditReport.

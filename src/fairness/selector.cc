@@ -16,18 +16,15 @@ constexpr double kGlobalTieTolerance = 1e-12;
 
 class WorstAttributeSelector : public AttributeSelector {
  public:
-  StatusOr<size_t> SelectGlobal(const UnfairnessEvaluator& eval,
-                                const Partitioning& current,
-                                const std::vector<size_t>& attrs) override {
-    if (attrs.empty()) {
+  StatusOr<size_t> SelectGlobal(size_t num_candidates,
+                                const CandidateScorer& score) override {
+    if (num_candidates == 0) {
       return Status::InvalidArgument("no attributes to select from");
     }
     size_t best_pos = 0;
     double best_avg = -1.0;
-    for (size_t pos = 0; pos < attrs.size(); ++pos) {
-      Partitioning candidate = SplitAll(eval.table(), current, attrs[pos]);
-      FAIRRANK_ASSIGN_OR_RETURN(double avg,
-                                eval.AveragePairwiseUnfairness(candidate));
+    for (size_t pos = 0; pos < num_candidates; ++pos) {
+      FAIRRANK_ASSIGN_OR_RETURN(double avg, score(pos));
       // Only a clear gain replaces the best, so on equal averages the
       // lowest attribute position, tried first, is kept.
       if (avg > best_avg + kGlobalTieTolerance * std::abs(best_avg)) {
@@ -69,15 +66,13 @@ class RandomAttributeSelector : public AttributeSelector {
  public:
   explicit RandomAttributeSelector(uint64_t seed) : rng_(seed) {}
 
-  StatusOr<size_t> SelectGlobal(const UnfairnessEvaluator& eval,
-                                const Partitioning& current,
-                                const std::vector<size_t>& attrs) override {
-    (void)eval;
-    (void)current;
-    if (attrs.empty()) {
+  StatusOr<size_t> SelectGlobal(size_t num_candidates,
+                                const CandidateScorer& score) override {
+    (void)score;
+    if (num_candidates == 0) {
       return Status::InvalidArgument("no attributes to select from");
     }
-    return rng_.UniformIndex(attrs.size());
+    return rng_.UniformIndex(num_candidates);
   }
 
   StatusOr<size_t> SelectLocal(const UnfairnessEvaluator& eval,

@@ -34,7 +34,10 @@ class UnbalancedAlgorithm : public PartitioningAlgorithm {
     result.nodes_visited += attrs.size();
     StatusOr<size_t> pos = [&] {
       ScopedSpan expand_span(context.trace(), "expand", context.trace_parent());
-      return selector_->SelectGlobal(eval, result.partitioning, attrs);
+      return selector_->SelectGlobal(attrs.size(), [&](size_t p) {
+        return eval.AveragePairwiseUnfairness(
+            SplitAll(eval.table(), result.partitioning, attrs[p]));
+      });
     }();
     if (!pos.ok()) return DegradeOnExhaustion(std::move(result), pos.status());
     size_t attr = attrs[*pos];

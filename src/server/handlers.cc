@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "common/stopwatch.h"
 #include "common/str_util.h"
 #include "fairness/aggregate.h"
 #include "fairness/auditor.h"
@@ -92,38 +91,18 @@ StatusOr<HandlerResult> RunAuditAggregate(const ServerEnv& env,
                                           const Table& table,
                                           const ScoringFunction& fn,
                                           const AuditOptions& options) {
-  FAIRRANK_ASSIGN_OR_RETURN(std::vector<double> scores, fn.ScoreAll(table));
   FAIRRANK_ASSIGN_OR_RETURN(int64_t ingest_threads,
                             flags.GetInt("ingest-threads", 1));
-
-  CellStoreIngestOptions ingest;
-  ingest.num_bins = options.evaluator.num_bins;
-  ingest.score_lo = options.evaluator.score_lo;
-  ingest.score_hi = options.evaluator.score_hi;
-  ingest.num_threads =
-      ClampThreads(static_cast<int>(ingest_threads), env.max_request_threads);
-  ingest.protected_attributes = options.protected_attributes;
-
-  ResourceBudget budget = options.limits.MakeBudget();
-  ExecutionContext context = options.limits.MakeContext(&budget);
-
-  Stopwatch ingest_timer;
+  FairnessAuditor auditor(&table);
   FAIRRANK_ASSIGN_OR_RETURN(
-      CellStore store, BuildCellStoreParallel(table, scores, ingest, context));
-  AggregateReportInfo info;
-  info.scoring_function = fn.Name();
-  info.divergence = options.evaluator.divergence;
-  info.ingest_threads = ingest.num_threads;
-  info.ingest_seconds = ingest_timer.ElapsedSeconds();
-
-  Stopwatch audit_timer;
-  FAIRRANK_ASSIGN_OR_RETURN(
-      AggregateAuditResult result,
-      AuditAggregateBalanced(store, options.evaluator.divergence, context));
-  info.audit_seconds = audit_timer.ElapsedSeconds();
-
+      AggregateAudit audit,
+      auditor.AuditAggregate(
+          fn, options,
+          ClampThreads(static_cast<int>(ingest_threads),
+                       env.max_request_threads)));
   HandlerResult out;
-  out.response.body = FormatAggregateAuditJson(store, result, info);
+  out.response.body =
+      FormatAggregateAuditJson(audit.store, audit.result, audit.info);
   return out;
 }
 

@@ -38,6 +38,19 @@ grep -q "partition: Gender=0" "$WORKDIR/part.txt" || fail "saved spec"
 "$FAIRAUDIT" audit --input "$WORKDIR/w.csv" --function alpha:0.5 --json \
   | grep -q '^{"algorithm"' || fail "audit json"
 
+# audit --aggregate runs the balanced search over cells; it must refuse any
+# other algorithm rather than silently run balanced.
+"$FAIRAUDIT" audit --input "$WORKDIR/w.csv" --function f7:14 --aggregate \
+  --json | grep -q '^{"mode":"aggregate"' || fail "aggregate audit json"
+for alg in unbalanced r-balanced; do
+  if "$FAIRAUDIT" audit --input "$WORKDIR/w.csv" --function f7:14 \
+    --aggregate --algorithm "$alg" > "$WORKDIR/agg_$alg.out" 2>&1; then
+    fail "aggregate audit accepted --algorithm $alg"
+  fi
+  grep -q "'$alg'" "$WORKDIR/agg_$alg.out" \
+    || fail "aggregate rejection names $alg"
+done
+
 # audit --trace prints the span tree on stderr, leaving stdout (the report,
 # or --json) untouched.
 "$FAIRAUDIT" audit --input "$WORKDIR/w.csv" --function f6 --json --trace \

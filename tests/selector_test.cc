@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "balanced_oracle.h"
 #include "fairness/algorithm.h"
 #include "fairness/splitter.h"
 #include "marketplace/biased_scoring.h"
@@ -8,6 +9,8 @@
 
 namespace fairrank {
 namespace {
+
+using balanced_oracle::SelectGlobalOverRows;
 
 // The evaluator holds a pointer to its table, so the table lives behind a
 // stable unique_ptr address for the fixture's lifetime.
@@ -40,7 +43,8 @@ TEST(WorstAttributeSelectorTest, GlobalPicksGenderUnderF6) {
   auto selector = MakeWorstAttributeSelector();
   Partitioning root{MakeRootPartition(fx.workers().num_rows())};
   std::vector<size_t> attrs = fx.workers().schema().ProtectedIndices();
-  size_t pos = selector->SelectGlobal(fx.eval(), root, attrs).value();
+  size_t pos =
+      SelectGlobalOverRows(*selector, fx.eval(), root, attrs).value();
   EXPECT_EQ(fx.workers().schema().attribute(attrs[pos]).name(),
             worker_attrs::kGender);
 }
@@ -95,11 +99,14 @@ TEST(WorstAttributeSelectorTest, IdenticalSplitsKeepTheFirstAttribute) {
   const size_t twin = 2;
 
   Partitioning root{MakeRootPartition(table.num_rows())};
-  EXPECT_EQ(selector->SelectGlobal(eval, root, {team, twin}).value(), 0u);
-  EXPECT_EQ(selector->SelectGlobal(eval, root, {twin, team}).value(), 0u);
+  EXPECT_EQ(SelectGlobalOverRows(*selector, eval, root, {team, twin}).value(),
+            0u);
+  EXPECT_EQ(SelectGlobalOverRows(*selector, eval, root, {twin, team}).value(),
+            0u);
   // A weaker attribute ahead of the twins does not win the tie.
-  EXPECT_EQ(selector->SelectGlobal(eval, root, {side, team, twin}).value(),
-            1u);
+  EXPECT_EQ(
+      SelectGlobalOverRows(*selector, eval, root, {side, team, twin}).value(),
+      1u);
 
   auto halves = SplitPartition(table, root[0], side);
   ASSERT_EQ(halves.size(), 2u);
@@ -136,10 +143,12 @@ TEST(WorstAttributeSelectorTest, RoundingLevelTiesKeepTheFirstAttribute) {
       eval.AveragePairwiseUnfairness(SplitAll(table, root, language)).value(),
       0.3, 1e-15);
   auto selector = MakeWorstAttributeSelector();
-  EXPECT_EQ(selector->SelectGlobal(eval, root, {gender, language}).value(),
-            0u);
-  EXPECT_EQ(selector->SelectGlobal(eval, root, {language, gender}).value(),
-            0u);
+  EXPECT_EQ(
+      SelectGlobalOverRows(*selector, eval, root, {gender, language}).value(),
+      0u);
+  EXPECT_EQ(
+      SelectGlobalOverRows(*selector, eval, root, {language, gender}).value(),
+      0u);
 }
 
 TEST(WorstAttributeSelectorTest, EmptyAttributeListFails) {
@@ -147,7 +156,7 @@ TEST(WorstAttributeSelectorTest, EmptyAttributeListFails) {
   Fixture fx = MakeFixture(*f6, 50);
   auto selector = MakeWorstAttributeSelector();
   Partitioning root{MakeRootPartition(fx.workers().num_rows())};
-  EXPECT_FALSE(selector->SelectGlobal(fx.eval(), root, {}).ok());
+  EXPECT_FALSE(SelectGlobalOverRows(*selector, fx.eval(), root, {}).ok());
   EXPECT_FALSE(selector->SelectLocal(fx.eval(), root[0], {}, {}).ok());
 }
 
@@ -159,8 +168,8 @@ TEST(RandomAttributeSelectorTest, DeterministicGivenSeed) {
   auto a = MakeRandomAttributeSelector(9);
   auto b = MakeRandomAttributeSelector(9);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(a->SelectGlobal(fx.eval(), root, attrs).value(),
-              b->SelectGlobal(fx.eval(), root, attrs).value());
+    EXPECT_EQ(SelectGlobalOverRows(*a, fx.eval(), root, attrs).value(),
+              SelectGlobalOverRows(*b, fx.eval(), root, attrs).value());
   }
 }
 
@@ -172,7 +181,8 @@ TEST(RandomAttributeSelectorTest, CoversAllPositions) {
   auto selector = MakeRandomAttributeSelector(4);
   std::set<size_t> seen;
   for (int i = 0; i < 200; ++i) {
-    seen.insert(selector->SelectGlobal(fx.eval(), root, attrs).value());
+    seen.insert(
+        SelectGlobalOverRows(*selector, fx.eval(), root, attrs).value());
   }
   EXPECT_EQ(seen.size(), attrs.size());
 }
@@ -182,7 +192,7 @@ TEST(RandomAttributeSelectorTest, EmptyAttributeListFails) {
   Fixture fx = MakeFixture(*f6, 50);
   Partitioning root{MakeRootPartition(fx.workers().num_rows())};
   auto selector = MakeRandomAttributeSelector(1);
-  EXPECT_FALSE(selector->SelectGlobal(fx.eval(), root, {}).ok());
+  EXPECT_FALSE(SelectGlobalOverRows(*selector, fx.eval(), root, {}).ok());
 }
 
 }  // namespace

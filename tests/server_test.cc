@@ -208,6 +208,24 @@ TEST(ServerTest, AggregateAuditEndpointMatchesLibrary) {
   EXPECT_NE(row_level.body, response.body);
 }
 
+TEST(ServerTest, AggregateAuditRejectsOtherAlgorithms) {
+  // The cells run only the balanced search; any other algorithm is a 400
+  // naming it, never a balanced answer under another name.
+  auto running = StartServer(DefaultOptions());
+  for (const char* algorithm : {"unbalanced", "r-balanced"}) {
+    HttpFetchResult response =
+        Fetch(*running, std::string("/audit?function=f7:14&aggregate=1&") +
+                            "algorithm=" + algorithm);
+    EXPECT_EQ(response.status_code, 400) << response.body;
+    EXPECT_NE(response.body.find(std::string("'") + algorithm + "'"),
+              std::string::npos)
+        << response.body;
+  }
+  HttpFetchResult balanced = Fetch(
+      *running, "/audit?function=f7:14&aggregate=1&algorithm=balanced");
+  EXPECT_EQ(balanced.status_code, 200) << balanced.body;
+}
+
 TEST(ServerTest, BadInputFailsStructurallyNotFatally) {
   auto running = StartServer(DefaultOptions());
   // Unknown query parameter: the misspelled limit must 400, exactly like a

@@ -293,7 +293,7 @@ TEST(TraceContextTest, SpanParentChildOrdering) {
   const int64_t expand = trace.StartSpan("expand", search);
   trace.EndSpan(expand);
   trace.EndSpan(search);
-  trace.Event("cache-hit", search);
+  trace.AddEvent("checkpoint", search, 0);
   trace.EndSpan(root);
 
   std::vector<TraceContext::Span> spans = trace.Snapshot();
@@ -304,7 +304,7 @@ TEST(TraceContextTest, SpanParentChildOrdering) {
   EXPECT_EQ(spans[1].parent, root);
   EXPECT_EQ(spans[2].parent, search);
   EXPECT_EQ(spans[3].parent, search);
-  EXPECT_STREQ(spans[3].name, "cache-hit");
+  EXPECT_STREQ(spans[3].name, "checkpoint");
   // Every span closed; children end no later than their parents here.
   for (const TraceContext::Span& span : spans) {
     EXPECT_GE(span.end_ns, span.start_ns) << span.name;

@@ -65,8 +65,6 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "common/parallel.h"
-#include "common/stopwatch.h"
 #include "common/str_util.h"
 #include "common/trace.h"
 #include "data/csv.h"
@@ -192,44 +190,19 @@ int CmdProfile(const FlagParser& flags) {
 /// and output flags with the row-level audit.
 int CmdAuditAggregate(const FlagParser& flags, const Table& workers,
                       const ScoringFunction& fn, const AuditOptions& options) {
-  StatusOr<std::vector<double>> scores = fn.ScoreAll(workers);
-  if (!scores.ok()) return Fail(scores.status());
   StatusOr<int64_t> ingest_threads = flags.GetInt("ingest-threads", 1);
   if (!ingest_threads.ok()) return Fail(ingest_threads.status());
-
-  CellStoreIngestOptions ingest;
-  ingest.num_bins = options.evaluator.num_bins;
-  ingest.score_lo = options.evaluator.score_lo;
-  ingest.score_hi = options.evaluator.score_hi;
-  ingest.num_threads = static_cast<int>(*ingest_threads);
-  ingest.protected_attributes = options.protected_attributes;
-
-  ResourceBudget budget = options.limits.MakeBudget();
-  ExecutionContext context = options.limits.MakeContext(&budget);
-
-  Stopwatch ingest_timer;
-  StatusOr<CellStore> store =
-      BuildCellStoreParallel(workers, *scores, ingest, context);
-  if (!store.ok()) return Fail(store.status());
-
-  AggregateReportInfo info;
-  info.scoring_function = fn.Name();
-  info.divergence = options.evaluator.divergence;
-  info.ingest_threads =
-      ingest.num_threads <= 0 ? HardwareThreads() : ingest.num_threads;
-  info.ingest_seconds = ingest_timer.ElapsedSeconds();
-
-  Stopwatch audit_timer;
-  StatusOr<AggregateAuditResult> result =
-      AuditAggregateBalanced(*store, options.evaluator.divergence, context);
-  if (!result.ok()) return Fail(result.status());
-  info.audit_seconds = audit_timer.ElapsedSeconds();
+  FairnessAuditor auditor(&workers);
+  StatusOr<AggregateAudit> audit = auditor.AuditAggregate(
+      fn, options, static_cast<int>(*ingest_threads));
+  if (!audit.ok()) return Fail(audit.status());
 
   StatusOr<bool> json = flags.GetBool("json", false);
   if (!json.ok()) return Fail(json.status());
   if (*json) {
-    std::printf("%s\n",
-                FormatAggregateAuditJson(*store, *result, info).c_str());
+    std::printf("%s\n", FormatAggregateAuditJson(audit->store, audit->result,
+                                                 audit->info)
+                            .c_str());
     return 0;
   }
   ReportOptions report;
@@ -239,8 +212,9 @@ int CmdAuditAggregate(const FlagParser& flags, const Table& workers,
   StatusOr<int64_t> max_partitions = flags.GetInt("max-partitions", 20);
   if (!max_partitions.ok()) return Fail(max_partitions.status());
   report.max_partitions = static_cast<size_t>(*max_partitions);
-  std::printf("%s",
-              FormatAggregateAuditReport(*store, *result, info, report).c_str());
+  std::printf("%s", FormatAggregateAuditReport(audit->store, audit->result,
+                                               audit->info, report)
+                        .c_str());
   return 0;
 }
 
